@@ -25,7 +25,8 @@ from typing import Optional, Protocol, Tuple
 import numpy as np
 
 from .errors import SolverError, ValidationError
-from .lp import Constraint, LinearProgram, solve
+from .exact import direct_scheme_lp
+from .lp import solve
 from .model import ExplicitInstance
 
 PAYOFF_BOUND = 1.0 + 1e-12
@@ -123,8 +124,8 @@ def _as_sample_arrays(samples) -> Tuple[np.ndarray, np.ndarray]:
     r = np.atleast_2d(np.asarray(r, dtype=float))
     if s.shape != r.shape or s.ndim != 2 or s.shape[0] < 1:
         raise ValidationError("samples must be matching (k, n) payoff arrays")
-    if max(np.abs(s).max(), np.abs(r).max()) > PAYOFF_BOUND:
-        raise ValidationError("sample payoffs must lie in [-1, 1]")
+    if not (np.all(np.abs(s) <= PAYOFF_BOUND) and np.all(np.abs(r) <= PAYOFF_BOUND)):
+        raise ValidationError("sample payoffs must lie in [-1, 1]")  # NaN fails too
     return s, r
 
 
@@ -146,25 +147,9 @@ def solve_empirical_lp(samples, epsilon: float) -> EmpiricalScheme:
     )
     inverse = inverse.ravel()
     B = uniq.shape[0]
-    us = uniq[:, :n]
     ur = uniq[:, n:]
     w = counts / K
-
-    nv = B * n
-    c = (w[:, None] * us).reshape(nv)
-    cons = []
-    for b in range(B):
-        row = np.zeros(nv)
-        row[b * n:(b + 1) * n] = 1.0
-        cons.append(Constraint(row, "=", 1.0))
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            row = np.zeros(nv)
-            row[np.arange(B) * n + i] = w * (ur[:, i] - ur[:, j] + epsilon)
-            cons.append(Constraint(row, ">=", 0.0))
-    out = solve(LinearProgram(c, cons))
+    out = solve(direct_scheme_lp(w, uniq[:, :n], ur, epsilon))
     if out.status != "optimal":
         raise SolverError(f"empirical signaling LP ended with status {out.status}")
     phi_b = np.clip(out.point.reshape(B, n), 0.0, None)

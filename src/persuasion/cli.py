@@ -241,6 +241,9 @@ def _cmd_bench(args) -> int:
         ("prosecutor exact", lambda: solve_exact(fixtures.prosecutor()).value),
         ("investor expansion exact",
          lambda: solve_exact(expand_product(fixtures.investor())).value),
+        ("iid expansion exact S=243",
+         lambda: solve_exact(expand_product(fixtures.random_iid(
+             np.random.default_rng(243), actions=5, types=3))).value),
         ("investor s-signature",
          lambda: solve_s_signature(fixtures.investor())[1]),
         ("khintchine lp n=6",

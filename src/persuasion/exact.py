@@ -41,6 +41,29 @@ class ExactSolution:
     audit: AuditReport
 
 
+def direct_scheme_lp(weights: np.ndarray, sender: np.ndarray,
+                     receiver: np.ndarray, epsilon: float) -> LinearProgram:
+    """Direct-scheme LP over states with the given weights and payoff rows.
+
+    One variable per (state t, signal i) pair, indexed state-major as
+    t*n + i; one equality per state making its row a distribution; one
+    epsilon-relaxed incentive constraint per ordered action pair (i, j).
+    The objective is the weighted sender payoff.
+    """
+    S, n = sender.shape
+    nv = S * n
+    cons = []
+    for t in range(S):
+        row = np.zeros(nv)
+        row[t * n:(t + 1) * n] = 1.0
+        cons.append(Constraint(row, "=", 1.0))
+    for i, j in itertools.permutations(range(n), 2):
+        row = np.zeros(nv)
+        row[i::n] = weights * (receiver[:, i] - receiver[:, j] + epsilon)
+        cons.append(Constraint(row, ">=", 0.0))
+    return LinearProgram((weights[:, None] * sender).reshape(nv), cons)
+
+
 def solve_exact(instance: ExplicitInstance, epsilon: float = 0.0) -> ExactSolution:
     """Maximize expected sender utility over epsilon-IC direct schemes.
 
@@ -52,23 +75,8 @@ def solve_exact(instance: ExplicitInstance, epsilon: float = 0.0) -> ExactSoluti
         raise ValidationError("epsilon must be nonnegative")
     S, n = instance.state_count, instance.action_count
     lam = instance.state_probs
-    r = instance.receiver_payoffs
-    s = instance.sender_payoffs
-    nv = S * n  # variables indexed state-major: (state t, signal i) -> t*n+i
-    c = (lam[:, None] * s).reshape(nv)
-    cons = []
-    for t in range(S):
-        row = np.zeros(nv)
-        row[t * n:(t + 1) * n] = 1.0
-        cons.append(Constraint(row, "=", 1.0))
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            row = np.zeros(nv)
-            row[np.arange(S) * n + i] = lam * (r[:, i] - r[:, j] + epsilon)
-            cons.append(Constraint(row, ">=", 0.0))
-    out = solve(LinearProgram(c, cons))
+    out = solve(direct_scheme_lp(lam, instance.sender_payoffs,
+                                 instance.receiver_payoffs, epsilon))
     if out.status != "optimal":
         raise SolverError(f"direct-scheme LP ended with status {out.status}")
     phi = out.point.reshape(S, n).copy()

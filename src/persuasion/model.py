@@ -26,6 +26,12 @@ def _frozen(a, dtype=float) -> np.ndarray:
     return arr
 
 
+def _require_finite(**arrays) -> None:
+    for name, arr in arrays.items():
+        if not np.all(np.isfinite(arr)):
+            raise ValidationError(f"{name} must be finite")
+
+
 @dataclass(frozen=True)
 class ExplicitInstance:
     """A finite prior over states of nature with per-state payoff vectors.
@@ -50,6 +56,7 @@ class ExplicitInstance:
             raise DimensionError("receiver payoff matrix", s.shape, r.shape)
         if s.shape[1] < 1:
             raise ValidationError("need at least one action")
+        _require_finite(state_probs=p, sender_payoffs=s, receiver_payoffs=r)
         if np.any(p < -PROB_SUM_TOL):
             raise ValidationError("state probabilities must be nonnegative")
         if abs(p.sum() - 1.0) > PROB_SUM_TOL:
@@ -95,6 +102,7 @@ class IIDInstance:
             raise DimensionError("sender payoffs", (m,), xi.shape)
         if rho.shape != (m,):
             raise DimensionError("receiver payoffs", (m,), rho.shape)
+        _require_finite(type_probs=q, sender_payoffs=xi, receiver_payoffs=rho)
         if np.any(q < 0):
             raise ValidationError("type probabilities must be nonnegative")
         if abs(q.sum() - 1.0) > PROB_SUM_TOL:
@@ -125,6 +133,7 @@ class Marginal:
             raise ValidationError("marginal needs at least one type")
         if xi.shape != q.shape or rho.shape != q.shape:
             raise DimensionError("marginal payoffs", q.shape, (xi.shape, rho.shape))
+        _require_finite(type_probs=q, sender_payoffs=xi, receiver_payoffs=rho)
         if np.any(q < 0):
             raise ValidationError("type probabilities must be nonnegative")
         if abs(q.sum() - 1.0) > PROB_SUM_TOL:

@@ -80,6 +80,14 @@ def test_empirical_lp_rejects_out_of_range_payoffs():
         solve_empirical_lp((np.array([[2.0]]), np.array([[0.0]])), 0.1)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_empirical_lp_rejects_non_finite_payoffs(bad):
+    with pytest.raises(ValidationError, match="sample payoffs"):
+        solve_empirical_lp((np.array([[bad]]), np.array([[0.0]])), 0.1)
+    with pytest.raises(ValidationError, match="sample payoffs"):
+        solve_empirical_lp((np.array([[0.0]]), np.array([[bad]])), 0.1)
+
+
 def test_oracle_single_draw_and_safety_flag():
     oracle = ExplicitOracle(fixtures.rain_shine_mixed(0.1))
     assert oracle.concurrent_safe

@@ -7,7 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from persuasion.lp import LinearProgram, solve
+from persuasion import fixtures, verify
+from persuasion.errors import ValidationError
+from persuasion.exact import direct_scheme_lp
+from persuasion.lp import LinearProgram, LpOutcome, _Standardized, _Tableau, solve
 
 
 def enumerate_vertices(c, rows, rels, rhs):
@@ -192,3 +195,216 @@ def test_variable_permutation_invariance(seed):
     permuted = solve(LinearProgram(c[perm], cons_p))
     assert base.status == permuted.status == "optimal"
     assert permuted.value == pytest.approx(base.value, abs=1e-9)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_objective_is_rejected(bad):
+    with pytest.raises(ValidationError, match="objective"):
+        LinearProgram([bad, 1.0], [([1.0, 1.0], "<=", 1.0)])
+
+
+def test_pivot_counts_per_phase():
+    # ">=" row starts on an artificial, so phase 1 must pivot it out
+    out = solve(LinearProgram([1.0, 1.0], [([1, 1], ">=", 1.0), ([1, 2], "<=", 4.0)]))
+    assert out.status == "optimal"
+    p1, p2 = out.pivots
+    assert p1 >= 1 and p2 >= 1
+    assert solve(LinearProgram([1.0], [([1.0], "<=", -1.0)])).pivots[1] == 0
+    assert solve(LinearProgram([-1.0])).pivots == (0, 0)
+    assert LpOutcome(status="optimal").pivots is None
+
+
+# ---------------------------------------------------------------------------
+# the row-restricted pivot against the dense rank-1 update it replaced
+
+
+def _dense_pivot(self, row, col):
+    """Reference pivot: rank-1 update of every row, both objectives always."""
+    T = self.T
+    piv = T[row, col]
+    T[row] /= piv
+    colvals = T[:, col].copy()
+    colvals[row] = 0.0
+    T -= np.outer(colvals, T[row])
+    T[:, col] = 0.0
+    T[row, col] = 1.0
+    for z in (self.z1, self.z2):
+        if z[col] != 0.0:
+            z -= z[col] * T[row]
+            z[col] = 0.0
+    self.basis[row] = col
+
+
+def _transport_lps(rng, count):
+    """The transport LPs allocation_exists_bruteforce solves, feasible or not."""
+    lps = []
+
+    def record(lp):
+        lps.append(lp)
+        return solve(lp)
+
+    original = verify.solve
+    verify.solve = record
+    try:
+        for _ in range(count):
+            m, n = int(rng.integers(2, 4)), int(rng.integers(2, 4))
+            q = fixtures.random_simplex(rng, m)
+            verify.allocation_exists_bruteforce(rng.uniform(0.0, 1.0, m), q, n)
+    finally:
+        verify.solve = original
+    return lps
+
+
+def _bounded_free_lps(rng, count):
+    """Random programs mixing free, shifted and upper-bounded variables."""
+    lps = []
+    for _ in range(count):
+        n = int(rng.integers(2, 7))
+        k = int(rng.integers(1, 6))
+        lower = np.where(rng.random(n) < 0.3, -np.inf, rng.uniform(-1, 1, n).round(1))
+        upper = np.where(rng.random(n) < 0.4, lower + rng.uniform(0.5, 3, n), np.inf)
+        upper[lower == -np.inf] = np.inf
+        rels = rng.choice(["<=", ">=", "="], size=k, p=[0.5, 0.3, 0.2])
+        cons = [(rng.uniform(-1, 1, n), rel, rng.uniform(-1, 2)) for rel in rels]
+        cons.append((np.ones(n), "<=", 6.0))
+        cons.append((-np.ones(n), "<=", 6.0))
+        for j in np.flatnonzero(lower == -np.inf):  # keeps free variables bounded
+            e = np.zeros(n)
+            e[j] = 1.0
+            cons.append((e, ">=", -5.0))
+        lps.append(LinearProgram(rng.uniform(-1, 1, n), cons, lower=lower, upper=upper))
+    return lps
+
+
+def _pivot_corpus():
+    rng = np.random.default_rng(20150319)
+    lps = []
+    for eps in (0.0, 0.0, 0.05, 0.2):
+        for _ in range(4):
+            inst = fixtures.random_explicit(rng, int(rng.integers(20, 60)),
+                                            int(rng.integers(2, 5)))
+            lps.append(direct_scheme_lp(inst.state_probs, inst.sender_payoffs,
+                                        inst.receiver_payoffs, eps))
+    lps += _transport_lps(rng, 40)
+    lps += _bounded_free_lps(rng, 60)
+    return lps
+
+
+def _loop_standardized(lp):
+    """Reference standardization: the per-element loops index arrays replaced."""
+    n = lp.objective.size
+    col_of, shift, ncols = [], np.zeros(n), 0
+    for j in range(n):
+        if lp.lower[j] == -np.inf:
+            col_of.append((ncols, ncols + 1))
+            ncols += 2
+        else:
+            shift[j] = lp.lower[j]
+            col_of.append((ncols, -1))
+            ncols += 1
+
+    def expand(a):
+        row = np.zeros(ncols)
+        for j, (p, q) in enumerate(col_of):
+            row[p] = a[j]
+            if q >= 0:
+                row[q] = -a[j]
+        return row
+
+    rows, rhs, rel, origin = [], [], [], []
+    for k, con in enumerate(lp.constraints):
+        rows.append(expand(con.coeffs))
+        rhs.append(con.rhs - con.coeffs @ shift)
+        rel.append(con.relation)
+        origin.append(k)
+    for j in range(n):
+        if lp.upper[j] < np.inf:
+            e = np.zeros(n)
+            e[j] = 1.0
+            rows.append(expand(e))
+            rhs.append(lp.upper[j] - shift[j])
+            rel.append("<=")
+            origin.append(-1)
+    A = np.array(rows, dtype=float).reshape(len(rows), ncols)
+    b = np.array(rhs, dtype=float)
+    sign = np.ones(len(rows))
+    for r in range(len(rows)):
+        if b[r] < 0:
+            A[r] *= -1.0
+            b[r] *= -1.0
+            sign[r] = -1.0
+            rel[r] = {"<=": ">=", ">=": "<=", "=": "="}[rel[r]]
+
+    def recover(u):
+        x = np.empty(n)
+        for j, (p, q) in enumerate(col_of):
+            x[j] = u[p] - (u[q] if q >= 0 else 0.0) + shift[j]
+        return x
+
+    return A, b, rel, sign, origin, expand(lp.objective), recover
+
+
+def test_standardization_matches_per_element_loops():
+    rng = np.random.default_rng(7919)
+    for lp in _pivot_corpus():
+        std = _Standardized(lp)
+        A, b, rel, sign, origin, c, recover = _loop_standardized(lp)
+        assert std.A.tobytes() == A.tobytes() and std.A.shape == A.shape
+        assert std.b.tobytes() == b.tobytes()
+        assert std.sign.tobytes() == sign.tobytes()
+        assert std.c.tobytes() == c.tobytes()
+        assert (std.rel, std.origin) == (rel, origin)
+        u = np.where(rng.random(c.size) < 0.3, 0.0, rng.uniform(0, 3, c.size))
+        assert std.recover(u).tobytes() == recover(u).tobytes()
+
+
+def _as_bytes(out):
+    def raw(a):
+        return None if a is None else np.asarray(a, dtype=float).tobytes()
+
+    return (out.status, raw(out.value), raw(out.point), raw(out.duals),
+            raw(out.certificate), out.pivots)
+
+
+def test_row_restricted_pivot_is_bit_identical_to_dense_update(monkeypatch):
+    corpus = _pivot_corpus()
+    fast = [solve(lp) for lp in corpus]
+    monkeypatch.setattr(_Tableau, "pivot", _dense_pivot)
+    dense = [solve(lp) for lp in corpus]
+    statuses = {out.status for out in fast}
+    assert {"optimal", "infeasible"} <= statuses
+    assert sum(out.certificate is not None for out in fast) > 0
+    for k, (a, b) in enumerate(zip(fast, dense)):
+        assert _as_bytes(a) == _as_bytes(b), f"program {k} differs"
+
+
+def test_optimal_values_match_highs():
+    pytest.importorskip("scipy")
+    from scipy.optimize import linprog
+
+    checked = 0
+    for lp in _pivot_corpus():
+        out = solve(lp)
+        A = np.array([con.coeffs for con in lp.constraints])
+        rel = np.array([con.relation for con in lp.constraints])
+        rhs = np.array([con.rhs for con in lp.constraints])
+        sign = np.where(rel == ">=", -1.0, 1.0)
+        ub = rel != "="
+        ref = linprog(
+            -lp.objective,
+            A_ub=(A[ub] * sign[ub, None]) if ub.any() else None,
+            b_ub=(rhs[ub] * sign[ub]) if ub.any() else None,
+            A_eq=A[~ub] if (~ub).any() else None,
+            b_eq=rhs[~ub] if (~ub).any() else None,
+            bounds=list(zip(np.where(np.isinf(lp.lower), None, lp.lower),
+                            np.where(np.isinf(lp.upper), None, lp.upper))),
+            method="highs",
+        )
+        if ref.status == 2:
+            assert out.status == "infeasible"
+            continue
+        assert ref.status == 0
+        assert out.status == "optimal"
+        assert out.value == pytest.approx(-ref.fun, abs=1e-7)
+        checked += 1
+    assert checked >= 50

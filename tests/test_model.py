@@ -11,6 +11,8 @@ from persuasion.exact import expand_product, honest_scheme, profiles_of
 from persuasion.model import (
     DirectScheme,
     ExplicitInstance,
+    IIDInstance,
+    Marginal,
     audit,
     best_response,
     posterior,
@@ -37,6 +39,39 @@ def test_dimension_error_names_axis():
     with pytest.raises(DimensionError) as err:
         ExplicitInstance([0.5, 0.5], [[1, 2]], [[1, 2], [3, 4]])
     assert "states" in str(err.value)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_explicit_instance_rejects_non_finite_payoffs(bad):
+    with pytest.raises(ValidationError, match="sender_payoffs"):
+        ExplicitInstance([0.5, 0.5], [[0.0, bad], [1.0, 0.0]], [[1, 0], [0, 1]])
+    with pytest.raises(ValidationError, match="receiver_payoffs"):
+        ExplicitInstance([0.5, 0.5], [[0, 1], [0, 1]], [[1.0, 0.0], [bad, 1.0]])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_iid_instance_rejects_non_finite_payoffs(bad):
+    with pytest.raises(ValidationError, match="sender_payoffs"):
+        IIDInstance(2, [0.5, 0.5], [0.0, bad], [0.0, 1.0])
+    with pytest.raises(ValidationError, match="receiver_payoffs"):
+        IIDInstance(2, [0.5, 0.5], [0.0, 1.0], [bad, 1.0])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_marginal_rejects_non_finite_payoffs(bad):
+    with pytest.raises(ValidationError, match="sender_payoffs"):
+        Marginal([0.5, 0.5], [bad, 1.0], [0.0, 1.0])
+    with pytest.raises(ValidationError, match="receiver_payoffs"):
+        Marginal([0.5, 0.5], [0.0, 1.0], [0.0, bad])
+
+
+def test_nan_probabilities_are_rejected():
+    with pytest.raises(ValidationError):
+        ExplicitInstance([np.nan, 0.5], [[1], [1]], [[1], [1]])
+    with pytest.raises(ValidationError):
+        IIDInstance(2, [np.nan, 0.5], [0.0, 1.0], [0.0, 1.0])
+    with pytest.raises(ValidationError):
+        Marginal([0.5, np.nan], [0.0, 1.0], [0.0, 1.0])
 
 
 def test_scheme_rows_must_be_stochastic():
