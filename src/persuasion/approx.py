@@ -136,7 +136,8 @@ class IndependentSignalSampler:
         highs = rng.random((T, n)) < self._p_high[profiles]
         # uniform random keys: the argmax over a masked subset is uniform on it
         keys = rng.random((T, n))
-        masked = np.where(highs, keys, -1.0)
-        any_high = highs.any(axis=1)
-        recs = np.where(any_high, masked.argmax(axis=1), keys.argmax(axis=1))
+        recs = np.where(highs, keys, -1.0).argmax(axis=1)
+        # a row with no HIGH component lands on a LOW one: all actions compete
+        none = np.flatnonzero(~highs[np.arange(T), recs])
+        recs[none] = keys[none].argmax(axis=1)
         return recs, highs

@@ -27,7 +27,7 @@ import numpy as np
 from .errors import SolverError, ValidationError
 from .exact import direct_scheme_lp
 from .lp import solve
-from .model import ExplicitInstance
+from .model import ExplicitInstance, InverseCDF
 
 PAYOFF_BOUND = 1.0 + 1e-12
 EMPIRICAL_IC_TOL = 1e-9
@@ -63,12 +63,10 @@ class ExplicitOracle:
             raise ValidationError("oracle payoffs must lie in [-1, 1]")
         self.instance = instance
         self.action_count = instance.action_count
-        self._cum = np.cumsum(instance.state_probs)
+        self._state_of = InverseCDF(instance.state_probs)
 
     def draw_indices(self, k: int, rng: np.random.Generator) -> np.ndarray:
-        return np.searchsorted(self._cum, rng.random(k), side="right").clip(
-            0, self.instance.state_count - 1
-        )
+        return self._state_of(rng.random(k))
 
     def draw(self, rng: np.random.Generator):
         idx = int(self.draw_indices(1, rng)[0])

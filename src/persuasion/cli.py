@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+import warnings
 
 import numpy as np
 
@@ -31,7 +32,7 @@ from .iid import SSignature, implement_s_signature, solve_s_signature
 from .khintchine import khintchine_constant, solve_khintchine_lp
 from .model import DirectScheme, ExplicitInstance, IIDInstance, audit
 from .suites import run_suite
-from .verify import DirectSchemeSampler, OracleSource, monte_carlo_eval
+from .verify import DirectSchemeSampler, IIDSource, OracleSource, monte_carlo_eval
 
 
 def _fmt(x: float) -> str:
@@ -236,6 +237,17 @@ def _cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
+def _bench_independent_eval() -> float:
+    inst = fixtures.random_iid(np.random.default_rng(4), actions=4, types=8)
+    with warnings.catch_warnings():
+        # mixed-sign payoffs void the guarantee, not the cost being timed
+        warnings.simplefilter("ignore")
+        sampler = IndependentSignalSampler(inst)
+    report = monte_carlo_eval(sampler, IIDSource(inst), 250_000,
+                              np.random.default_rng(4))
+    return report.mean_sender_utility
+
+
 def _cmd_bench(args) -> int:
     jobs = [
         ("prosecutor exact", lambda: solve_exact(fixtures.prosecutor()).value),
@@ -248,6 +260,7 @@ def _cmd_bench(args) -> int:
          lambda: solve_s_signature(fixtures.investor())[1]),
         ("khintchine lp n=6",
          lambda: solve_khintchine_lp(np.linspace(1.0, 2.0, 6))),
+        ("iid independent monte-carlo T=250000", _bench_independent_eval),
     ]
     for name, job in jobs:
         t0 = time.perf_counter()

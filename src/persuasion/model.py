@@ -304,3 +304,43 @@ def audit(instance: ExplicitInstance, scheme: DirectScheme) -> AuditReport:
         min_slack=min_slack,
         epsilon_certified=max(0.0, -min_slack),
     )
+
+
+class InverseCDF:
+    """Exact table-driven inverse CDF of a finite distribution.
+
+    self(u) equals np.searchsorted(np.cumsum(probs), u, side="right")
+    clipped to the last index, for every u in [0, 1), bit for bit. The
+    unit interval is cut into B equal buckets, B a power of two so that
+    u * B is exact: B is the smallest power of two at least
+    max(4096, 16 * len(probs)), capped at 2**16. A bucket that no
+    cumulative value splits has one answer, read from a table; only draws
+    in split buckets (at most one bucket per support point) fall back to
+    the binary search. Immutable after construction.
+    """
+
+    def __init__(self, probs):
+        cum = np.cumsum(probs, dtype=float)
+        buckets = min(1 << (max(4096, 16 * cum.size) - 1).bit_length(), 1 << 16)
+        last = cum.size - 1
+        edges = np.arange(buckets + 1) / buckets
+        below = np.searchsorted(cum, edges[:-1], side="right")
+        # a bucket is split when some cumulative value lies strictly inside
+        # it; unsorted sums (tiny negative probabilities) split every bucket
+        split = np.searchsorted(cum, edges[1:], side="left") > below
+        if np.any(np.diff(cum) < 0):
+            split[:] = True
+        table = np.where(split, -1, np.minimum(below, last))
+        self._cum = _frozen(cum)
+        self._table = _frozen(table, dtype=np.intp)
+        self._buckets = buckets
+        self._last = last
+
+    def __call__(self, u: np.ndarray) -> np.ndarray:
+        u = np.asarray(u, dtype=float)
+        idx = np.take(self._table, (u * self._buckets).astype(np.intp))
+        split = np.flatnonzero(idx < 0)
+        if split.size:
+            idx.flat[split] = np.minimum(
+                np.searchsorted(self._cum, u.flat[split], side="right"), self._last)
+        return idx

@@ -5,6 +5,13 @@ concavification_value recomputes small-instance optima from the geometry
 of posteriors, realizability_check decides whether a claimed signature is
 achievable by any scheme at all, and monte_carlo_eval estimates utility
 and incentive slacks of an arbitrary signal sampler by simulation.
+
+A simulation costs O(trials * actions) numpy work in three stages: the
+source draws states through a table-driven inverse CDF
+(model.InverseCDF), the sampler draws recommendations, and every
+per-signal statistic is one weighted np.bincount over (recommendation,
+action) cells. The draws consume the generator exactly as a binary
+search over the cumulative probabilities would.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ from .model import (
     DirectScheme,
     ExplicitInstance,
     IIDInstance,
+    InverseCDF,
     best_response,
     best_response_many,
 )
@@ -41,11 +49,10 @@ class ExplicitSource:
     def __init__(self, instance: ExplicitInstance):
         self.instance = instance
         self.action_count = instance.action_count
-        self._cum = np.cumsum(instance.state_probs)
+        self._state_of = InverseCDF(instance.state_probs)
 
     def draw_many(self, trials: int, rng: np.random.Generator):
-        idx = np.searchsorted(self._cum, rng.random(trials), side="right")
-        idx = idx.clip(0, self.instance.state_count - 1)
+        idx = self._state_of(rng.random(trials))
         return idx, self.instance.sender_payoffs[idx], self.instance.receiver_payoffs[idx]
 
     @staticmethod
@@ -59,12 +66,10 @@ class IIDSource:
     def __init__(self, instance: IIDInstance):
         self.instance = instance
         self.action_count = instance.action_count
-        self._cum = np.cumsum(instance.type_probs)
+        self._type_of = InverseCDF(instance.type_probs)
 
     def draw_many(self, trials: int, rng: np.random.Generator):
-        n = self.instance.action_count
-        profiles = np.searchsorted(self._cum, rng.random((trials, n)), side="right")
-        profiles = profiles.clip(0, self.instance.type_count - 1)
+        profiles = self._type_of(rng.random((trials, self.action_count)))
         sender = self.instance.sender_payoffs[profiles]
         receiver = self.instance.receiver_payoffs[profiles]
         return profiles, sender, receiver
@@ -160,45 +165,65 @@ class EvalReport:
     signal_counts: np.ndarray
 
 
+def _checked_recommendations(raw, trials: int, n: int) -> np.ndarray:
+    """Sampler output as an integer array of actions, or ValidationError."""
+    recs = np.asarray(raw)
+    if recs.shape != (trials,):
+        raise ValidationError(
+            f"sampler returned shape {recs.shape}, expected ({trials},)")
+    if recs.dtype.kind not in "iu":
+        if recs.dtype.kind != "f" or not np.all(np.mod(recs, 1.0) == 0.0):
+            raise ValidationError("recommendations must be integers")
+        recs = recs.astype(int)
+    lo, hi = int(recs.min()), int(recs.max())
+    if lo < 0 or hi >= n:
+        raise ValidationError(
+            f"recommendation {lo if lo < 0 else hi} outside actions 0..{n - 1}")
+    return recs
+
+
 def monte_carlo_eval(sampler, source, trials: int,
                      rng: np.random.Generator) -> EvalReport:
     """Simulate a sampler against a state source, assuming recommendations
-    are followed. Deterministic given the generator's seed; aggregation is
-    order-independent so trials could be fanned out across workers."""
+    are followed. Deterministic given the generator's seed.
+
+    Every per-signal statistic is one weighted np.bincount over the
+    (recommendation, action) cells of the trials-by-actions payoff
+    matrices: IC slack sums, squared-slack sums, and the receiver and
+    sender payoff sums behind the empirical posteriors. The cost is a
+    fixed number of passes over trials * actions entries, with no copy
+    per action, and a few trials-by-actions temporaries. Each sum adds in
+    trial order. Recommendations must be integer actions in 0..n-1;
+    anything else raises ValidationError.
+    """
     if trials < 1:
         raise ValidationError("trials must be at least 1")
     n = source.action_count
     batch, sender, receiver = source.draw_many(trials, rng)
     if hasattr(sampler, "sample_many"):
-        recs = np.asarray(sampler.sample_many(batch, rng), dtype=int)
+        raw = sampler.sample_many(batch, rng)
     else:
-        recs = np.fromiter(
-            (sampler.sample(state, rng) for state in source.iter_states(batch)),
-            dtype=int,
-            count=trials,
-        )
-    utilities = sender[np.arange(trials), recs]
+        raw = [sampler.sample(state, rng) for state in source.iter_states(batch)]
+    recs = _checked_recommendations(raw, trials, n)
+    rows = np.arange(trials)
+    utilities = sender[rows, recs]
     mean = float(utilities.mean())
     se = float(utilities.std(ddof=0) / np.sqrt(trials))
 
-    slack_mean = np.zeros((n, n))
-    slack_se = np.zeros((n, n))
+    cells = (recs[:, None] * n + np.arange(n)).ravel()
+
+    def cell_sums(weights):
+        return np.bincount(cells, weights.ravel(), minlength=n * n).reshape(n, n)
+
+    # moments of the indicator-weighted slack over all trials, not over hits
+    diffs = receiver[rows, recs][:, None] - receiver
+    slack_mean = cell_sums(diffs) / trials
+    second = cell_sums(diffs * diffs) / trials
+    slack_se = np.sqrt(np.clip(second - slack_mean ** 2, 0.0, None) / trials)
     counts = np.bincount(recs, minlength=n).astype(float)
-    followed = 0.0
-    for i in range(n):
-        mask = recs == i
-        if not mask.any():
-            continue
-        diffs = receiver[mask, i][:, None] - receiver[mask]  # (hits, n)
-        # moments of the indicator-weighted variable over all trials
-        mean_i = diffs.sum(axis=0) / trials
-        second = (diffs * diffs).sum(axis=0) / trials
-        slack_mean[i] = mean_i
-        slack_se[i] = np.sqrt(np.clip(second - mean_i ** 2, 0.0, None) / trials)
-        r_bar = receiver[mask].mean(axis=0)
-        s_bar = sender[mask].mean(axis=0)
-        if best_response(r_bar, s_bar) == i:
-            followed += counts[i]
+    r_sum, s_sum = cell_sums(receiver), cell_sums(sender)
+    followed = sum(counts[i] for i in np.flatnonzero(counts)
+                   if best_response(r_sum[i] / counts[i], s_sum[i] / counts[i]) == i)
     return EvalReport(
         trials=trials,
         mean_sender_utility=mean,

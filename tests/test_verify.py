@@ -1,19 +1,24 @@
 """Verification harness: concavification, realizability, simulation."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from persuasion import fixtures
-from persuasion.errors import InstanceTooLargeError
+from persuasion.approx import IndependentSignalSampler
+from persuasion.blackbox import BlackboxSampler, ExplicitOracle
+from persuasion.errors import InstanceTooLargeError, ValidationError
 from persuasion.exact import expand_product, solve_exact
 from persuasion.iid import Signature, signature_of, solve_s_signature, implement_s_signature
-from persuasion.model import DirectScheme, ExplicitInstance, IIDInstance
+from persuasion.model import DirectScheme, ExplicitInstance, IIDInstance, InverseCDF, best_response
 from persuasion.verify import (
     DirectSchemeSampler,
     ExplicitSource,
     FullInformationSampler,
     IIDSource,
     NoInformationSampler,
+    OracleSource,
     concavification_value,
     monte_carlo_eval,
     realizability_check,
@@ -193,3 +198,224 @@ def test_slack_estimates_match_expected_values():
                            np.random.default_rng(97))
     assert rep.ic_slack_mean[1, 0] == pytest.approx(-0.1, abs=1e-12)
     assert rep.signal_counts[1] == 1000
+
+
+# ---------------------------------------------------------------------------
+# the bincount aggregation and table-driven draws against the code they
+# replaced: per-action masks, searchsorted draws, and the where/any/argmax
+# independent sampler
+
+
+def _searchsorted_indices(probs, u):
+    return np.searchsorted(np.cumsum(probs), u, side="right").clip(0, len(probs) - 1)
+
+
+def _reference_explicit_draw_many(self, trials, rng):
+    idx = _searchsorted_indices(self.instance.state_probs, rng.random(trials))
+    return idx, self.instance.sender_payoffs[idx], self.instance.receiver_payoffs[idx]
+
+
+def _reference_iid_draw_many(self, trials, rng):
+    inst = self.instance
+    profiles = _searchsorted_indices(inst.type_probs,
+                                     rng.random((trials, inst.action_count)))
+    return profiles, inst.sender_payoffs[profiles], inst.receiver_payoffs[profiles]
+
+
+def _reference_draw_indices(self, k, rng):
+    return _searchsorted_indices(self.instance.state_probs, rng.random(k))
+
+
+def _reference_sample_many_detailed(self, profiles, rng):
+    T, n = profiles.shape
+    highs = rng.random((T, n)) < self._p_high[profiles]
+    keys = rng.random((T, n))
+    masked = np.where(highs, keys, -1.0)
+    any_high = highs.any(axis=1)
+    recs = np.where(any_high, masked.argmax(axis=1), keys.argmax(axis=1))
+    return recs, highs
+
+
+def _reference_monte_carlo_eval(sampler, source, trials, rng):
+    n = source.action_count
+    batch, sender, receiver = source.draw_many(trials, rng)
+    if hasattr(sampler, "sample_many"):
+        recs = np.asarray(sampler.sample_many(batch, rng), dtype=int)
+    else:
+        recs = np.fromiter(
+            (sampler.sample(state, rng) for state in source.iter_states(batch)),
+            dtype=int, count=trials)
+    utilities = sender[np.arange(trials), recs]
+    slack_mean = np.zeros((n, n))
+    slack_se = np.zeros((n, n))
+    counts = np.bincount(recs, minlength=n).astype(float)
+    followed = 0.0
+    for i in range(n):
+        mask = recs == i
+        if not mask.any():
+            continue
+        diffs = receiver[mask, i][:, None] - receiver[mask]
+        mean_i = diffs.sum(axis=0) / trials
+        second = (diffs * diffs).sum(axis=0) / trials
+        slack_mean[i] = mean_i
+        slack_se[i] = np.sqrt(np.clip(second - mean_i ** 2, 0.0, None) / trials)
+        if best_response(receiver[mask].mean(axis=0), sender[mask].mean(axis=0)) == i:
+            followed += counts[i]
+    return (trials, float(utilities.mean()),
+            float(utilities.std(ddof=0) / np.sqrt(trials)),
+            slack_mean, slack_se, followed / trials, counts)
+
+
+def _report_bytes(fields):
+    return tuple(f.tobytes() if isinstance(f, np.ndarray) else repr(f) for f in fields)
+
+
+def _assert_bit_identical(monkeypatch, sampler, source, trials, seed):
+    rng = np.random.default_rng(seed)
+    rep = monte_carlo_eval(sampler, source, trials, rng)
+    with monkeypatch.context() as mp:
+        mp.setattr(ExplicitSource, "draw_many", _reference_explicit_draw_many)
+        mp.setattr(IIDSource, "draw_many", _reference_iid_draw_many)
+        mp.setattr(ExplicitOracle, "draw_indices", _reference_draw_indices)
+        mp.setattr(IndependentSignalSampler, "sample_many_detailed",
+                   _reference_sample_many_detailed)
+        ref_rng = np.random.default_rng(seed)
+        ref = _reference_monte_carlo_eval(sampler, source, trials, ref_rng)
+    got = (rep.trials, rep.mean_sender_utility, rep.std_error, rep.ic_slack_mean,
+           rep.ic_slack_se, rep.follow_rate, rep.signal_counts)
+    assert _report_bytes(got) == _report_bytes(ref)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    return rep
+
+
+def test_iid_evaluations_are_bit_identical_to_reference(monkeypatch):
+    rng = np.random.default_rng(150)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for k in range(12):
+            inst = fixtures.random_iid(rng, actions=int(rng.integers(1, 5)),
+                                       types=int(rng.integers(1, 9)),
+                                       nonnegative=bool(k % 2))
+            trials = (1, 7, 20000)[k % 3]
+            _assert_bit_identical(monkeypatch, IndependentSignalSampler(inst),
+                                  IIDSource(inst), trials, k)
+            if inst.type_count ** inst.action_count <= 64:
+                ssig, _ = solve_s_signature(inst)
+                _assert_bit_identical(monkeypatch, implement_s_signature(inst, ssig),
+                                      IIDSource(inst), trials, 100 + k)
+
+
+def test_explicit_evaluations_are_bit_identical_to_reference(monkeypatch):
+    rng = np.random.default_rng(151)
+    for k in range(9):
+        inst = fixtures.random_explicit(rng, int(rng.integers(1, 20)),
+                                        int(rng.integers(1, 5)))
+        src = ExplicitSource(inst)
+        trials = (1, 5, 20000)[k % 3]
+        for sampler in (DirectSchemeSampler(solve_exact(inst).scheme),
+                        FullInformationSampler(inst), NoInformationSampler(inst)):
+            _assert_bit_identical(monkeypatch, sampler, src, trials, k)
+
+
+def test_never_recommended_action_is_bit_identical_to_reference(monkeypatch):
+    inst = fixtures.random_explicit(np.random.default_rng(152), 6, 4)
+    rep = _assert_bit_identical(monkeypatch, NoInformationSampler(inst),
+                                ExplicitSource(inst), 3000, 1)
+    assert np.count_nonzero(rep.signal_counts) == 1
+    unused = rep.signal_counts == 0
+    assert not rep.ic_slack_mean[unused].any() and not rep.ic_slack_se[unused].any()
+
+
+def test_per_trial_evaluation_is_bit_identical_to_reference(monkeypatch):
+    inst = fixtures.random_explicit(np.random.default_rng(153), 5, 3)
+    oracle = ExplicitOracle(inst)
+    sampler = BlackboxSampler(oracle, epsilon=0.2, K=40)
+    for trials, seed in ((1, 0), (25, 1)):
+        _assert_bit_identical(monkeypatch, sampler, OracleSource(oracle), trials, seed)
+
+
+def test_expansion_with_2187_states_is_bit_identical_to_reference(monkeypatch):
+    inst = expand_product(fixtures.random_iid(np.random.default_rng(154),
+                                              actions=7, types=3))
+    assert inst.state_count == 2187
+    _assert_bit_identical(monkeypatch, FullInformationSampler(inst),
+                          ExplicitSource(inst), 20000, 2)
+
+
+def _inverse_cdf_cases():
+    rng = np.random.default_rng(155)
+    yield "uniform tenths, sum below 1", np.full(10, 0.1)
+    yield "zero-probability entries", np.array([0.0, 0.25, 0.0, 0.0, 0.5, 0.25, 0.0])
+    yield "single state", np.array([1.0])
+    yield "dyadic mass on bucket edges", np.array([0.25, 0.5, 0.25])
+    yield "half the mass, ending on a bucket edge", np.array([0.25, 0.25])
+    yield "tiny negative entry", np.array([0.5, -1e-13, 0.5 + 1e-13])
+    yield "unsorted sums", np.array([0.02, 0.02, 0.23, 0.46, -0.12, 0.2, 0.1])
+    yield "2187 states", fixtures.random_simplex(rng, 2187)
+    for k in (3, 40, 300):
+        yield f"random {k}", fixtures.random_simplex(rng, k)
+
+
+@pytest.mark.parametrize("label,probs", list(_inverse_cdf_cases()),
+                         ids=[c[0] for c in _inverse_cdf_cases()])
+def test_inverse_cdf_matches_searchsorted(label, probs):
+    inv = InverseCDF(probs)
+    cum = np.cumsum(probs)
+    B = inv._buckets
+    inside = cum[cum < 1.0]
+    u = np.concatenate([
+        np.arange(B) / B,  # every bucket edge exactly
+        np.nextafter(np.arange(1, B + 1) / B, 0.0),  # and the last double below it
+        inside, np.nextafter(inside, 0.0), np.nextafter(inside, 1.0),
+        [0.0, 1.0 - 2.0 ** -53, cum[-1] if cum[-1] < 1.0 else 0.5],
+        np.random.default_rng(156).random(20000),
+    ])
+    u = u[u < 1.0]  # the domain of rng.random
+    got = inv(u)
+    want = _searchsorted_indices(probs, u)
+    assert got.dtype == want.dtype
+    np.testing.assert_array_equal(got, want)
+    grid = inv(u[:2 * B].reshape(2, B))
+    np.testing.assert_array_equal(grid, want[:2 * B].reshape(2, B))
+
+
+def test_inverse_cdf_bucket_count():
+    assert [InverseCDF(np.full(k, 1.0 / k))._buckets for k in (1, 256, 257, 2187, 5000)] == [
+        4096, 4096, 8192, 65536, 65536]
+
+
+# ---------------------------------------------------------------------------
+# malformed sampler output
+
+
+class _ConstantSampler:
+    def __init__(self, value):
+        self.value = value
+
+    def sample_many(self, states, rng):
+        return np.full(len(states), self.value)
+
+
+class _ConstantPerTrialSampler:
+    def __init__(self, value):
+        self.value = value
+
+    def sample(self, state, rng):
+        return self.value
+
+
+@pytest.mark.parametrize("value", [1.7, -1, 2], ids=["non-integer", "negative", "too-large"])
+@pytest.mark.parametrize("wrapper", [_ConstantSampler, _ConstantPerTrialSampler],
+                         ids=["sample_many", "per-trial"])
+def test_bad_recommendations_raise_validation_error(wrapper, value):
+    inst = ExplicitInstance([0.5, 0.5], [[0.2, 0.9], [0.1, 0.3]], [[0.5, 0.4], [0.0, 1.0]])
+    with pytest.raises(ValidationError):
+        monte_carlo_eval(wrapper(value), ExplicitSource(inst), 50,
+                         np.random.default_rng(157))
+
+
+def test_integral_float_recommendations_are_accepted():
+    inst = ExplicitInstance([0.5, 0.5], [[0.2, 0.9], [0.1, 0.3]], [[0.5, 0.4], [0.0, 1.0]])
+    rep = monte_carlo_eval(_ConstantSampler(1.0), ExplicitSource(inst), 50,
+                           np.random.default_rng(158))
+    assert rep.signal_counts.tolist() == [0.0, 50.0]
