@@ -70,13 +70,21 @@ def solve_exact(instance: ExplicitInstance, epsilon: float = 0.0) -> ExactSoluti
     Always feasible (the honest scheme is) and never unbounded. States with
     zero prior probability do not affect the objective; their rows are set
     to recommend signal 0.
+
+    The simplex starts from the honest basis: one variable per state, on
+    the receiver's exact argmax action, and the incentive surpluses. That
+    basis is primal feasible, so phase 1 is skipped. When the optimum is not
+    unique, the returned vertex can differ from a cold solve's.
     """
     if epsilon < 0:
         raise ValidationError("epsilon must be nonnegative")
     S, n = instance.state_count, instance.action_count
     lam = instance.state_probs
+    # exact argmax, no tie tolerance, so every incentive surplus is >= 0
+    honest = np.arange(S) * n + np.argmax(instance.receiver_payoffs, axis=1)
+    start = np.concatenate([honest, np.full(n * (n - 1), -1)])
     out = solve(direct_scheme_lp(lam, instance.sender_payoffs,
-                                 instance.receiver_payoffs, epsilon))
+                                 instance.receiver_payoffs, epsilon), start=start)
     if out.status != "optimal":
         raise SolverError(f"direct-scheme LP ended with status {out.status}")
     phi = out.point.reshape(S, n).copy()

@@ -15,6 +15,27 @@ priors a pivot touches about one row in seven on average. The phase-1 objective 
 is priced only until phase 1 ends. Standardization maps variables to
 tableau columns through index arrays built once per program.
 
+The tableau has no artificial columns. Artificial variables exist only as
+basis labels: phase 1 prices and the drive-out step reads only the
+structural and slack columns, and duals and Farkas vectors are recovered
+from the labels and the standardized matrix. On a 300-state, 3-action
+direct-scheme program that makes each row about a quarter narrower.
+
+A start basis can skip phase 1. ``solve(lp, start=...)`` takes one entry
+per constraint: an original-variable index that becomes basic in that row,
+or -1 to keep the row's slack or surplus basic (upper-bound rows always
+keep theirs). The start is accepted when the named block A[R, cols] is
+diagonal with a nonzero diagonal, every other row is an inequality, and
+the basic solution is nonnegative up to FEAS_TOL. The basis matrix is then
+block lower-triangular, so B^-1 [A | b] and the priced phase-2 row come
+from one block elimination instead of one pivot per row. Any other start
+leaves the tableau untouched and runs the cold solve, byte for byte as
+without a start. Installing the start is not counted as pivots. A crash
+solve that does not end optimal is redone cold: the tableau accumulates
+rounding error pivot by pivot, and on one 243-state i.i.d. expansion the
+phase 2 from the honest start drifted into a numerical failure that the
+cold path does not hit. So a start never costs a certified answer.
+
 Tolerances: pivot 1e-10, feasibility 1e-8. A returned "optimal" point is
 re-checked against the original constraints; anything that cannot be
 certified comes back with status "numerical_failure", never as a wrong
@@ -111,7 +132,11 @@ class LpOutcome:
     for infeasible programs. ``pivots`` counts the simplex pivots of phase 1
     and phase 2; the pivots that drive leftover artificial variables out of
     the basis between the phases are not counted. Engines that do not count
-    pivots leave it None.
+    pivots leave it None. ``start`` is "crash" when a start basis given to
+    :func:`solve` was installed, so phase 1 did not run and ``pivots`` is
+    (0, phase-2 pivots); it is "cold" otherwise, a rejected start included,
+    and so is the cold re-solve that replaces a crash solve which did not
+    end optimal.
     """
 
     status: str
@@ -120,16 +145,38 @@ class LpOutcome:
     duals: Optional[np.ndarray] = None
     certificate: Optional[np.ndarray] = None
     pivots: Optional[tuple[int, int]] = None
+    start: str = "cold"
 
 
 Engine = Callable[[LinearProgram], LpOutcome]
 
 
-def solve(lp: LinearProgram, engine: Optional[Engine] = None) -> LpOutcome:
-    """Solve a linear program, returning a vertex optimum when one exists."""
+def solve(lp: LinearProgram, engine: Optional[Engine] = None,
+          start=None) -> LpOutcome:
+    """Solve a linear program, returning a vertex optimum when one exists.
+
+    ``start`` optionally names a start basis with one entry per constraint:
+    an original-variable index that becomes basic in that row, or -1 to
+    keep the row's own slack or surplus basic. A start that cannot be
+    installed as a primal-feasible basis falls back to the cold two-phase
+    solve (see the module docstring), and so does a crash solve that does
+    not end optimal. ``engine`` ignores ``start``.
+    """
     if engine is not None:
         return engine(lp)
-    return _simplex(lp)
+    if start is not None:
+        start = np.asarray(start)
+        if start.shape != (len(lp.constraints),) or (
+                start.size and start.dtype.kind not in "iu"):
+            raise ValidationError("start needs one integer entry per constraint")
+        if np.any(start < -1) or np.any(start >= lp.objective.size):
+            raise ValidationError("start entries must be -1 or a variable index")
+        start = start.astype(int)
+    out = _simplex(lp, start)
+    if out.start == "crash" and out.status != "optimal":
+        # rounding error can build up along a long phase 2 from the start
+        out = _simplex(lp)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +231,7 @@ class _Standardized:
         self.rel = rel
         self.sign = sign
         self.origin = origin
+        self.n_user = k
         self.shift = shift
         self.nvars = n
 
@@ -206,51 +254,99 @@ _DEGENERATE_SWITCH = 40  # consecutive degenerate pivots before Bland's rule
 
 
 class _Tableau:
+    """Dense tableau [B^-1 A | B^-1 b] over the structural and slack columns.
+
+    Columns: structural, then one slack or surplus per inequality row in row
+    order. Rows that need an artificial variable ("=" and ">=" rows) get a
+    basis label first_art + k but no column: phase 1 prices only columns
+    below first_art, the drive-out step reads only those, and duals and
+    certificates come from the labels and std.A.
+    """
+
     def __init__(self, std: _Standardized):
         m, n = std.A.shape
-        n_slack = sum(1 for r in std.rel if r != "=")
-        total = n + n_slack + m  # structural + slack/surplus + artificial
-        T = np.zeros((m, total + 1))
+        rel = np.array(std.rel, dtype=object)
+        slack_rows = (rel != "=").nonzero()[0]
+        self.art_rows = (rel != "<=").nonzero()[0]  # row of label first_art + k
+        self.first_art = n + slack_rows.size
+        T = np.zeros((m, self.first_art + 1))
         T[:, :n] = std.A
         T[:, -1] = std.b
-        basis = np.empty(m, dtype=int)
-        art_row = {}
-        s = n
-        a = n + n_slack
-        for r in range(m):
-            if std.rel[r] == "<=":
-                T[r, s] = 1.0
-                basis[r] = s
-                s += 1
-            else:
-                if std.rel[r] == ">=":
-                    T[r, s] = -1.0
-                    s += 1
-                T[r, a] = 1.0
-                basis[r] = a
-                art_row[a] = r
-                a += 1
+        self.slack_col = np.full(m, -1)
+        self.slack_col[slack_rows] = n + np.arange(slack_rows.size)
+        slack_sign = np.where(rel[slack_rows] == ">=", -1.0, 1.0)
+        T[slack_rows, self.slack_col[slack_rows]] = slack_sign
+        basis = self.slack_col.copy()
+        basis[self.art_rows] = self.first_art + np.arange(self.art_rows.size)
+        # each non-structural label n + k is a unit column: its row and sign
+        self.unit_row = np.concatenate([slack_rows, self.art_rows])
+        self.unit_sign = np.concatenate([slack_sign, np.ones(self.art_rows.size)])
         self.T = T
         self.basis = basis
-        self.art_row = art_row
         self.n_struct = n
-        self.first_art = n + n_slack
         self.m = m
-        # Phase-1 objective: max -(sum of artificials), priced out over the
-        # starting basis. Phase-2 reduced costs are carried along from the
-        # start so no re-pricing is needed between phases.
-        z1 = np.zeros(total + 1)
-        for r in range(m):
-            if basis[r] >= self.first_art:
-                z1[: total + 1] += T[r]
-        z1[self.first_art: total] = 0.0
-        self.z1 = z1
-        z2 = np.zeros(total + 1)
+        # Phase-2 reduced costs are carried along from the start so no
+        # re-pricing is needed between phases; the phase-1 row z1 is priced
+        # only when phase 1 runs.
+        z2 = np.zeros(self.first_art + 1)
         z2[:n] = std.c
         self.z2 = z2
-        # objective rows kept priced out; z1 is dropped once phase 1 is read
-        self.priced = (z1, z2)
+        self.z1 = None
+        self.priced = (z2,)
         self.iterations = 0
+
+    def price_phase1(self) -> None:
+        """Phase-1 objective max -(sum of artificials), priced out over the
+        starting basis."""
+        z1 = np.zeros(self.T.shape[1])
+        for r in self.art_rows:
+            z1 += self.T[r]
+        self.z1 = z1
+        self.priced = (z1, self.z2)
+
+    def crash(self, std: _Standardized, start: np.ndarray) -> bool:
+        """Install a start basis by one block elimination; False if rejected.
+
+        start[k] >= 0 makes that original variable basic in constraint row
+        k; -1 (and every upper-bound row) keeps the row's slack basic. The
+        start is accepted only when the named block A[R, cols] is diagonal
+        with a nonzero diagonal and every other row has a slack. Then
+        B^-1 [A | b] is: the R rows divided by their diagonal, and the other
+        rows minus C @ (those rows), divided by their slack coefficient,
+        where C is their part of the named columns. It is also rejected when
+        an entry of B^-1 b is below -FEAS_TOL.
+        """
+        named = np.full(self.m, -1)
+        named[: start.size] = start
+        R = (named >= 0).nonzero()[0]
+        O = (named < 0).nonzero()[0]
+        if np.any(self.slack_col[O] < 0):
+            return False
+        cols = std.plus[named[R]]
+        T = self.T
+        D = T[np.ix_(R, cols)]
+        diag = D.diagonal()
+        if np.count_nonzero(D) != R.size or not np.all(diag):
+            return False
+        C = T[np.ix_(O, cols)]
+        slack = T[O, self.slack_col[O]]
+        # the rhs column alone decides, so a rejected start changes nothing
+        rhs = T[R, -1] / diag
+        rhs_other = (T[O, -1] - C @ rhs) / slack
+        if min(rhs.min(initial=0.0), rhs_other.min(initial=0.0)) < -FEAS_TOL:
+            return False
+        TR = T[R]
+        TR /= diag[:, None]
+        T[R] = TR
+        # the named columns come out as exact unit vectors: x / x == 1 and,
+        # with TR[:, cols] == I, C - C @ TR[:, cols] == 0
+        T[O] = (T[O] - C @ TR) / slack[:, None]
+        z2 = self.z2
+        z2 -= z2[cols] @ TR
+        z2[cols] = 0.0
+        self.basis[R] = cols
+        self.basis[O] = self.slack_col[O]
+        return True
 
     def pivot(self, row: int, col: int) -> None:
         T = self.T
@@ -307,13 +403,19 @@ class _Tableau:
                 return "iteration_limit"
 
 
-def _simplex(lp: LinearProgram) -> LpOutcome:
+def _simplex(lp: LinearProgram, start: Optional[np.ndarray] = None) -> LpOutcome:
     std = _Standardized(lp)
     tab = _Tableau(std)
-    m, total = tab.m, tab.T.shape[1] - 1
-    max_iter = 2000 + 50 * (m + total)
+    m = tab.m
+    # the limit counts one artificial column per row, as the tableau once had
+    max_iter = 2000 + 50 * (m + tab.first_art + m)
+    kind = "crash" if start is not None and tab.crash(std, start) else "cold"
 
-    if m > 0:
+    if kind == "crash":
+        phase1_pivots = 0
+        kept_rows = np.arange(m)
+    elif m > 0:
+        tab.price_phase1()
         status = tab.run(tab.z1, tab.first_art, max_iter)
         phase1_pivots = tab.iterations
         if status == "iteration_limit":
@@ -347,21 +449,22 @@ def _simplex(lp: LinearProgram) -> LpOutcome:
     status = tab.run(tab.z2, tab.first_art, max_iter)
     pivots = (phase1_pivots, tab.iterations - phase1_pivots)
     if status == "iteration_limit":
-        return LpOutcome(status="numerical_failure", pivots=pivots)
+        return LpOutcome(status="numerical_failure", pivots=pivots, start=kind)
     if status == "unbounded":
-        return LpOutcome(status="unbounded", pivots=pivots)
+        return LpOutcome(status="unbounded", pivots=pivots, start=kind)
 
-    u = np.zeros(total)
+    # no artificial label is basic after phase 1
+    u = np.zeros(tab.first_art)
     u[tab.basis] = tab.T[:, -1]
     if np.any(u[tab.basis] < -FEAS_TOL):
-        return LpOutcome(status="numerical_failure", pivots=pivots)
+        return LpOutcome(status="numerical_failure", pivots=pivots, start=kind)
     x = std.recover(u[: tab.n_struct])
     if not _feasible(lp, x):
-        return LpOutcome(status="numerical_failure", pivots=pivots)
+        return LpOutcome(status="numerical_failure", pivots=pivots, start=kind)
     value = float(lp.objective @ x)
-    duals = _duals(lp, std, tab, kept_rows, u)
+    duals = _duals(std, tab, kept_rows, u)
     return LpOutcome(status="optimal", value=value, point=x, duals=duals,
-                     pivots=pivots)
+                     pivots=pivots, start=kind)
 
 
 def _feasible(lp: LinearProgram, x: np.ndarray) -> bool:
@@ -383,27 +486,19 @@ def _basis_duals(std: _Standardized, tab: _Tableau, kept_rows: np.ndarray,
     """Multipliers y with B^T y = c_B for the kept standardized rows."""
     if kept_rows.size == 0:
         return np.zeros(len(std.b))
-    n = tab.n_struct
-    n_slack = tab.first_art - n
-    A_full = np.zeros((len(std.b), n + n_slack))
-    A_full[:, :n] = std.A
-    s = n
-    for r, rel in enumerate(std.rel):
-        if rel == "<=":
-            A_full[r, s] = 1.0
-            s += 1
-        elif rel == ">=":
-            A_full[r, s] = -1.0
-            s += 1
-    cols = np.zeros((kept_rows.size, tab.basis.size))
-    row_pos = {int(r): i for i, r in enumerate(kept_rows)}
-    for k, col in enumerate(tab.basis):
-        if col < n + n_slack:
-            cols[:, k] = A_full[kept_rows, col]
-        else:
-            r = tab.art_row[int(col)]
-            if r in row_pos:
-                cols[row_pos[r], k] = 1.0
+    basis, n = tab.basis, tab.n_struct
+    # B over the kept rows: structural columns from std.A; a slack, surplus
+    # or artificial column is +-1 in its own row, if that row is kept
+    cols = np.zeros((kept_rows.size, basis.size))
+    struct = (basis < n).nonzero()[0]
+    cols[:, struct] = std.A[np.ix_(kept_rows, basis[struct])]
+    pos = np.full(len(std.b), -1)
+    pos[kept_rows] = np.arange(kept_rows.size)
+    unit = (basis >= n).nonzero()[0]
+    label = basis[unit] - n
+    at = pos[tab.unit_row[label]]
+    kept = at >= 0
+    cols[at[kept], unit[kept]] = tab.unit_sign[label[kept]]
     try:
         y = np.linalg.solve(cols.T, costs)
     except np.linalg.LinAlgError:
@@ -413,12 +508,18 @@ def _basis_duals(std: _Standardized, tab: _Tableau, kept_rows: np.ndarray,
     return full
 
 
-def _duals(lp: LinearProgram, std: _Standardized, tab: _Tableau,
-           kept_rows: np.ndarray, u: np.ndarray) -> Optional[np.ndarray]:
+def _per_constraint(std: _Standardized, y: np.ndarray) -> np.ndarray:
+    """Standardized-row multipliers in the user's constraint order and signs
+    (the upper-bound rows come last and are dropped)."""
+    k = std.n_user
+    return std.sign[:k] * y[:k]
+
+
+def _duals(std: _Standardized, tab: _Tableau, kept_rows: np.ndarray,
+           u: np.ndarray) -> Optional[np.ndarray]:
     costs = np.zeros(tab.basis.size)
-    for k, col in enumerate(tab.basis):
-        if col < tab.n_struct:
-            costs[k] = std.c[col]
+    struct = tab.basis < tab.n_struct
+    costs[struct] = std.c[tab.basis[struct]]
     y = _basis_duals(std, tab, kept_rows, costs)
     if y is None:
         return None
@@ -426,11 +527,7 @@ def _duals(lp: LinearProgram, std: _Standardized, tab: _Tableau,
     gap = abs(primal - y @ std.b)
     if gap > 1e-7 * max(1.0, abs(primal)):
         return None
-    out = np.zeros(len(lp.constraints))
-    for r, k in enumerate(std.origin):
-        if k >= 0:
-            out[k] = std.sign[r] * y[r]
-    return out
+    return _per_constraint(std, y)
 
 
 def _farkas(std: _Standardized, tab: _Tableau) -> Optional[np.ndarray]:
@@ -440,9 +537,4 @@ def _farkas(std: _Standardized, tab: _Tableau) -> Optional[np.ndarray]:
     y = _basis_duals(std, tab, rows, costs)
     if y is None:
         return None
-    n_user = sum(1 for o in std.origin if o >= 0)
-    out = np.zeros(n_user)
-    for r, k in enumerate(std.origin):
-        if k >= 0 and r < y.size:
-            out[k] = std.sign[r] * y[r]
-    return out
+    return _per_constraint(std, y)

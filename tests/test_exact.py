@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from persuasion import fixtures
+from persuasion import exact, fixtures
 from persuasion.errors import InstanceTooLargeError
 from persuasion.exact import (
+    direct_scheme_lp,
     expand_product,
     honest_scheme,
     no_information_scheme,
@@ -18,6 +19,7 @@ from persuasion.model import (
     Marginal,
     audit,
 )
+from persuasion.lp import solve
 
 
 def test_prosecutor_optimum():
@@ -114,3 +116,49 @@ def test_expansion_cap_error_names_cap():
         expand_product(inst, cap=1000)
     assert "1000" in str(err.value)
     assert err.value.size == 5 ** 8
+
+
+def _crash_instances():
+    rng = np.random.default_rng(41)
+    insts = [fixtures.prosecutor(), expand_product(fixtures.investor()),
+             fixtures.random_explicit(rng, 1, 3), fixtures.random_explicit(rng, 7, 1),
+             fixtures.random_explicit(rng, 50, 4),
+             fixtures.random_explicit(rng, 50, 3, nonnegative=True),
+             ExplicitInstance([0.0, 0.5, 0.0, 0.5], np.eye(4)[:, :2],
+                              np.ones((4, 2)))]  # zero-probability states, all ties
+    return insts
+
+
+def test_solve_exact_starts_from_the_honest_basis(monkeypatch):
+    seen = []
+
+    def recording(lp, **kwargs):
+        out = solve(lp, **kwargs)
+        seen.append((lp, out))
+        return out
+
+    monkeypatch.setattr(exact, "solve", recording)
+    for inst in _crash_instances():
+        for eps in (0.0, 0.05, 0.2):
+            sol = solve_exact(inst, epsilon=eps)
+            lp, out = seen[-1]
+            assert out.start == "crash" and out.pivots[0] == 0
+            assert out.duals is not None
+            assert sol.value == pytest.approx(solve(lp).value, abs=1e-9)
+            assert sol.value == pytest.approx(sol.audit.sender_utility, abs=1e-9)
+            assert sol.audit.epsilon_certified <= eps + 1e-9
+
+
+def test_crash_solve_that_drifts_is_redone_cold():
+    # on this 243-state expansion the phase 2 from the honest start ends in
+    # a numerical failure; solve_exact must still return the cold optimum
+    inst = IIDInstance(
+        5, [0.3886310828860473, 0.19713255945502944, 0.4142363576589233],
+        [0.6864713752330084, 0.8011186824753419, 0.6880673265152568],
+        [0.7509172532347691, 0.5264033615780219, 0.8085788748219793])
+    full = expand_product(inst)
+    sol = solve_exact(full)
+    cold = solve(direct_scheme_lp(full.state_probs, full.sender_payoffs,
+                                  full.receiver_payoffs, 0.0))
+    assert sol.value == pytest.approx(cold.value, abs=1e-9)
+    assert sol.audit.epsilon_certified <= 1e-9

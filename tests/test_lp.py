@@ -11,6 +11,7 @@ from persuasion import fixtures, verify
 from persuasion.errors import ValidationError
 from persuasion.exact import direct_scheme_lp
 from persuasion.lp import LinearProgram, LpOutcome, _Standardized, _Tableau, solve
+from persuasion.model import ExplicitInstance
 
 
 def enumerate_vertices(c, rows, rels, rhs):
@@ -276,15 +277,33 @@ def _bounded_free_lps(rng, count):
     return lps
 
 
-def _pivot_corpus():
-    rng = np.random.default_rng(20150319)
-    lps = []
+def _direct_cases(rng):
+    """(instance, epsilon) of the corpus's 16 direct-scheme programs."""
+    cases = []
     for eps in (0.0, 0.0, 0.05, 0.2):
         for _ in range(4):
             inst = fixtures.random_explicit(rng, int(rng.integers(20, 60)),
                                             int(rng.integers(2, 5)))
-            lps.append(direct_scheme_lp(inst.state_probs, inst.sender_payoffs,
-                                        inst.receiver_payoffs, eps))
+            cases.append((inst, eps))
+    return cases
+
+
+def _direct_lp(inst, eps):
+    return direct_scheme_lp(inst.state_probs, inst.sender_payoffs,
+                            inst.receiver_payoffs, eps)
+
+
+def _honest_start(inst):
+    """Start basis of the honest scheme: one variable per state row, on the
+    receiver's exact argmax, and every incentive row's surplus."""
+    S, n = inst.state_count, inst.action_count
+    rec = np.argmax(inst.receiver_payoffs, axis=1)
+    return np.concatenate([np.arange(S) * n + rec, np.full(n * (n - 1), -1)])
+
+
+def _pivot_corpus():
+    rng = np.random.default_rng(20150319)
+    lps = [_direct_lp(inst, eps) for inst, eps in _direct_cases(rng)]
     lps += _transport_lps(rng, 40)
     lps += _bounded_free_lps(rng, 60)
     return lps
@@ -378,28 +397,32 @@ def test_row_restricted_pivot_is_bit_identical_to_dense_update(monkeypatch):
         assert _as_bytes(a) == _as_bytes(b), f"program {k} differs"
 
 
-def test_optimal_values_match_highs():
-    pytest.importorskip("scipy")
+def _highs(lp):
     from scipy.optimize import linprog
 
+    A = np.array([con.coeffs for con in lp.constraints])
+    rel = np.array([con.relation for con in lp.constraints])
+    rhs = np.array([con.rhs for con in lp.constraints])
+    sign = np.where(rel == ">=", -1.0, 1.0)
+    ub = rel != "="
+    return linprog(
+        -lp.objective,
+        A_ub=(A[ub] * sign[ub, None]) if ub.any() else None,
+        b_ub=(rhs[ub] * sign[ub]) if ub.any() else None,
+        A_eq=A[~ub] if (~ub).any() else None,
+        b_eq=rhs[~ub] if (~ub).any() else None,
+        bounds=list(zip(np.where(np.isinf(lp.lower), None, lp.lower),
+                        np.where(np.isinf(lp.upper), None, lp.upper))),
+        method="highs",
+    )
+
+
+def test_optimal_values_match_highs():
+    pytest.importorskip("scipy")
     checked = 0
     for lp in _pivot_corpus():
         out = solve(lp)
-        A = np.array([con.coeffs for con in lp.constraints])
-        rel = np.array([con.relation for con in lp.constraints])
-        rhs = np.array([con.rhs for con in lp.constraints])
-        sign = np.where(rel == ">=", -1.0, 1.0)
-        ub = rel != "="
-        ref = linprog(
-            -lp.objective,
-            A_ub=(A[ub] * sign[ub, None]) if ub.any() else None,
-            b_ub=(rhs[ub] * sign[ub]) if ub.any() else None,
-            A_eq=A[~ub] if (~ub).any() else None,
-            b_eq=rhs[~ub] if (~ub).any() else None,
-            bounds=list(zip(np.where(np.isinf(lp.lower), None, lp.lower),
-                            np.where(np.isinf(lp.upper), None, lp.upper))),
-            method="highs",
-        )
+        ref = _highs(lp)
         if ref.status == 2:
             assert out.status == "infeasible"
             continue
@@ -408,3 +431,148 @@ def test_optimal_values_match_highs():
         assert out.value == pytest.approx(-ref.fun, abs=1e-7)
         checked += 1
     assert checked >= 50
+    # the crash path on the corpus's direct-scheme programs
+    for inst, eps in _direct_cases(np.random.default_rng(20150319)):
+        lp = _direct_lp(inst, eps)
+        out = solve(lp, start=_honest_start(inst))
+        assert out.start == "crash"
+        assert out.value == pytest.approx(-_highs(lp).fun, abs=1e-7)
+
+
+# ---------------------------------------------------------------------------
+# start basis: the honest crash start against the cold solve
+
+
+def _assert_certified(lp, out, tol=1e-7):
+    """The point is feasible and the duals prove it optimal."""
+    x, y = out.point, out.duals
+    A = np.array([con.coeffs for con in lp.constraints]).reshape(-1, x.size)
+    rel = np.array([con.relation for con in lp.constraints])
+    rhs = np.array([con.rhs for con in lp.constraints])
+    lhs = A @ x
+    assert np.all(x >= -1e-8)
+    assert np.all(lhs[rel == "<="] <= rhs[rel == "<="] + 1e-8)
+    assert np.all(lhs[rel == ">="] >= rhs[rel == ">="] - 1e-8)
+    assert np.all(np.abs(lhs[rel == "="] - rhs[rel == "="]) <= 1e-8)
+    assert y is not None
+    assert np.all(y[rel == "<="] >= -tol) and np.all(y[rel == ">="] <= tol)
+    assert np.all(lp.objective - A.T @ y <= tol)  # dual feasible for x >= 0
+    assert y @ rhs == pytest.approx(out.value, abs=tol * max(1.0, abs(out.value)))
+
+
+def _crash_cases():
+    """Seeded direct-scheme instances covering the corners of the crash start."""
+    rng = np.random.default_rng(6)
+    cases = []
+    for eps in (0.0, 0.05, 0.2):
+        for S, n in ((30, 3), (60, 4), (12, 5), (1, 3), (25, 1), (1, 1)):
+            cases.append((fixtures.random_explicit(rng, S, n), eps))
+            cases.append((fixtures.random_explicit(rng, S, n, nonnegative=True), eps))
+        inst = fixtures.random_explicit(rng, 40, 3)  # zero-probability states
+        probs = inst.state_probs.copy()
+        probs[::3] = 0.0
+        cases.append((ExplicitInstance(probs / probs.sum(), inst.sender_payoffs,
+                                       inst.receiver_payoffs), eps))
+        # tied receiver payoffs: whole rows, and two of three actions
+        receiver = rng.integers(0, 2, (40, 3)).astype(float)
+        cases.append((ExplicitInstance(inst.state_probs, inst.sender_payoffs,
+                                       receiver), eps))
+        receiver = inst.receiver_payoffs.copy()
+        receiver[:, 2] = receiver[:, 0]
+        cases.append((ExplicitInstance(inst.state_probs, inst.sender_payoffs,
+                                       receiver), eps))
+    return cases
+
+
+def test_crash_start_matches_cold_solve():
+    phase1 = 0
+    for inst, eps in _crash_cases():
+        lp = _direct_lp(inst, eps)
+        cold = solve(lp)
+        crash = solve(lp, start=_honest_start(inst))
+        assert cold.start == "cold" and crash.start == "crash"
+        assert crash.status == cold.status == "optimal"
+        assert crash.value == pytest.approx(cold.value, abs=1e-9)
+        assert crash.pivots[0] == 0
+        phase1 += cold.pivots[0]
+        _assert_certified(lp, crash)
+        _assert_certified(lp, cold)
+    assert phase1 > 0
+
+
+def _dominated_instance():
+    """Action 1 is strictly worse for the receiver than action 0 everywhere."""
+    rng = np.random.default_rng(8)
+    receiver = rng.uniform(-1, 1, (20, 3))
+    receiver[:, 1] = receiver[:, 0] - 0.25
+    return ExplicitInstance(fixtures.random_simplex(rng, 20),
+                            rng.uniform(-1, 1, (20, 3)), receiver)
+
+
+def _rejected_starts():
+    inst = fixtures.random_explicit(np.random.default_rng(7), 30, 3)
+    honest = _honest_start(inst)
+    # incentive row (0, 1) names action 0 of a state whose row names another
+    # variable: both rows have a nonzero in that column
+    t = int(np.flatnonzero(honest[:30] % 3 != 0)[0])
+    off_diagonal = honest.copy()
+    off_diagonal[30] = 3 * t
+    state_slack = honest.copy()  # an "=" row has no slack to keep basic
+    state_slack[4] = -1
+    dominated = _dominated_instance()
+    all_dominated = np.concatenate([np.arange(20) * 3 + 1, np.full(6, -1)])
+    return [(_direct_lp(inst, 0.05), off_diagonal),
+            (_direct_lp(inst, 0.05), state_slack),
+            (_direct_lp(dominated, 0.0), all_dominated)]
+
+
+def test_rejected_start_is_the_cold_solve():
+    for lp, start in _rejected_starts():
+        out = solve(lp, start=start)
+        assert out.start == "cold" and out.pivots[0] > 0
+        assert _as_bytes(out) == _as_bytes(solve(lp))
+
+
+def test_start_on_general_programs():
+    # a feasible start on a "<=" program with a bound row, and one that fails
+    lp = LinearProgram([1.0, 2.0], [([1.0, 0.0], "<=", 3.0), ([1.0, 1.0], "<=", 4.0)],
+                       upper=[np.inf, 5.0])
+    out = solve(lp, start=[0, -1])
+    assert out.start == "crash" and out.value == pytest.approx(8.0, abs=1e-12)
+    assert solve(lp, start=[-1, 1]).start == "crash"
+    assert solve(lp, start=[1, 1]).start == "cold"  # variable 1 named twice
+    # a negative diagonal makes the named variable negative
+    lp = LinearProgram([1.0, 1.0], [([-1.0, 1.0], "<=", 2.0), ([1.0, 1.0], "<=", 3.0)])
+    assert solve(lp, start=[0, -1]).start == "cold"
+    assert solve(lp, start=[0, -1]).value == solve(lp).value
+    assert solve(LinearProgram([1.0], [([1.0], "<=", 3.0)]), start=[0]).pivots == (0, 0)
+
+
+def test_crash_solve_that_fails_is_redone_cold(monkeypatch):
+    inst = fixtures.random_explicit(np.random.default_rng(9), 30, 3)
+    lp = _direct_lp(inst, 0.05)
+    cold = solve(lp)
+    run = _Tableau.run
+
+    def failing(self, z, allowed_upto, max_iter):
+        # only the crash path reaches phase 2 without a phase-1 row
+        if self.z1 is None:
+            return "iteration_limit"
+        return run(self, z, allowed_upto, max_iter)
+
+    monkeypatch.setattr(_Tableau, "run", failing)
+    out = solve(lp, start=_honest_start(inst))
+    assert out.start == "cold" and _as_bytes(out) == _as_bytes(cold)
+
+
+@pytest.mark.parametrize("start", [[0], [0, 0, 0], [0.0, -1.0], [-2, 0], [0, 2]])
+def test_malformed_start_is_rejected(start):
+    lp = LinearProgram([1.0, 1.0], [([1.0, 0.0], "<=", 1.0), ([0.0, 1.0], "<=", 1.0)])
+    with pytest.raises(ValidationError, match="start"):
+        solve(lp, start=start)
+
+
+def test_engine_ignores_start():
+    lp = LinearProgram([1.0], [([1.0], "<=", 1.0)])
+    assert solve(lp, engine=lambda p: LpOutcome(status="optimal", value=1.0),
+                 start=[7]).value == 1.0
