@@ -19,7 +19,7 @@ from typing import Tuple
 import numpy as np
 
 from .errors import SolverError, ValidationError
-from .lp import Constraint, LinearProgram, solve
+from .lp import LinearProgram, solve
 from .model import IIDInstance
 
 HIGH = True
@@ -53,16 +53,17 @@ def solve_relaxation(instance: IIDInstance) -> Tuple[np.ndarray, np.ndarray, flo
     """
     n, m = instance.action_count, instance.type_count
     q, xi, rho = instance.type_probs, instance.sender_payoffs, instance.receiver_payoffs
-    cons = [Constraint(np.concatenate([np.ones(m), np.zeros(m)]), "=", 1.0 / n)]
-    for j in range(m):
-        row = np.zeros(2 * m)
-        row[j] = 1.0
-        row[m + j] = n - 1.0
-        cons.append(Constraint(row, "=", float(q[j])))
-    cons.append(Constraint(np.concatenate([rho, -rho]), ">=", 0.0))
-    if n == 1:
-        cons.append(Constraint(np.concatenate([np.zeros(m), np.ones(m)]), "=", 1.0))
-    out = solve(LinearProgram(np.concatenate([n * xi, np.zeros(m)]), cons))
+    # rows: sum x = 1/n, x_j + (n-1) y_j = q_j, rho.(x - y) >= 0, and for
+    # n = 1 also sum y = 1
+    eye = np.eye(m)
+    ones_y = np.concatenate([np.zeros(m), np.ones(m)])
+    A = np.vstack([np.concatenate([np.ones(m), np.zeros(m)]),
+                   np.hstack([eye, (n - 1.0) * eye]),
+                   np.concatenate([rho, -rho])] + [ones_y] * (n == 1))
+    relations = ["="] * (m + 1) + [">="] + ["="] * (n == 1)
+    b = np.concatenate([[1.0 / n], q, [0.0], [1.0] * (n == 1)])
+    out = solve(LinearProgram(np.concatenate([n * xi, np.zeros(m)]),
+                              A=A, relations=relations, b=b))
     if out.status != "optimal":
         raise SolverError(f"relaxation LP ended with status {out.status}")
     x = np.clip(out.point[:m], 0.0, None)

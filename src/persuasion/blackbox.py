@@ -127,23 +127,38 @@ def _as_sample_arrays(samples) -> Tuple[np.ndarray, np.ndarray]:
     return s, r
 
 
+def _bucket_rows(rows: np.ndarray):
+    """np.unique(rows, axis=0, return_inverse=True, return_counts=True).
+
+    One stable np.lexsort orders the rows (first column most significant);
+    a bucket starts where a row differs from the one before it. Rows that
+    differ only in the sign of a zero share a bucket, as in np.unique, but
+    the row kept for it may then differ from np.unique's in that sign.
+    """
+    order = np.lexsort(rows.T[::-1])
+    ordered = rows[order]
+    starts = np.ones(len(rows), dtype=bool)
+    np.any(ordered[1:] != ordered[:-1], axis=1, out=starts[1:])
+    bucket = np.cumsum(starts) - 1
+    inverse = np.empty_like(bucket)
+    inverse[order] = bucket
+    return ordered[starts], inverse, np.bincount(bucket)
+
+
 def solve_empirical_lp(samples, epsilon: float) -> EmpiricalScheme:
     """Relaxed empirical signaling LP over a sample multiset.
 
     Identical samples are bucketed into one weighted state before solving,
     which leaves the program unchanged (an optimal solution always exists
     with equal rows on identical states) and keeps the LP small when the
-    sample comes from a finite-support distribution.
+    sample comes from a finite-support distribution. Bucketing costs one
+    lexsort of the K samples over their 2n payoff columns (_bucket_rows).
     """
     if epsilon < 0:
         raise ValidationError("epsilon must be nonnegative")
     s, r = _as_sample_arrays(samples)
     K, n = s.shape
-    combined = np.hstack([s, r])
-    uniq, inverse, counts = np.unique(
-        combined, axis=0, return_inverse=True, return_counts=True
-    )
-    inverse = inverse.ravel()
+    uniq, inverse, counts = _bucket_rows(np.hstack([s, r]))
     B = uniq.shape[0]
     ur = uniq[:, n:]
     w = counts / K
@@ -179,26 +194,10 @@ def blackbox_signal(oracle: SampleOracle, state, epsilon: float, K: int,
 
     state is the (sender, receiver) payoff pair of the realized state of
     nature. Draws K-1 fresh oracle samples, inserts the real state at a
-    uniform position, solves the empirical LP, and samples that row.
+    uniform position, solves the empirical LP, and samples that row: one
+    call of a fresh BlackboxSampler, so both consume randomness alike.
     """
-    if K < 1:
-        raise ValidationError("K must be at least 1")
-    if epsilon == 0:
-        warnings.warn(
-            "epsilon = 0 keeps the scheme exactly IC on the sample but the "
-            "empirical optimum no longer converges to the true optimum",
-            stacklevel=2,
-        )
-    s_real, r_real = state
-    s_real = np.asarray(s_real, dtype=float)
-    r_real = np.asarray(r_real, dtype=float)
-    pos = int(rng.integers(K))
-    s_fresh, r_fresh = oracle.draw_batch(K - 1, rng)
-    s_all = np.insert(s_fresh, pos, s_real, axis=0)
-    r_all = np.insert(r_fresh, pos, r_real, axis=0)
-    scheme = solve_empirical_lp((s_all, r_all), epsilon)
-    row = scheme.phi[pos]
-    return int(rng.choice(row.size, p=row / row.sum()))
+    return BlackboxSampler(oracle, epsilon, K).sample(state, rng)
 
 
 class BlackboxSampler:

@@ -18,7 +18,7 @@ from typing import Union
 import numpy as np
 
 from .errors import InstanceTooLargeError, SolverError, ValidationError
-from .lp import Constraint, LinearProgram, solve
+from .lp import LinearProgram, solve
 from .model import (
     AuditReport,
     DirectScheme,
@@ -47,21 +47,21 @@ def direct_scheme_lp(weights: np.ndarray, sender: np.ndarray,
 
     One variable per (state t, signal i) pair, indexed state-major as
     t*n + i; one equality per state making its row a distribution; one
-    epsilon-relaxed incentive constraint per ordered action pair (i, j).
-    The objective is the weighted sender payoff.
+    epsilon-relaxed incentive constraint per ordered action pair (i, j),
+    in itertools.permutations order. The objective is the weighted sender
+    payoff.
     """
     S, n = sender.shape
-    nv = S * n
-    cons = []
-    for t in range(S):
-        row = np.zeros(nv)
-        row[t * n:(t + 1) * n] = 1.0
-        cons.append(Constraint(row, "=", 1.0))
-    for i, j in itertools.permutations(range(n), 2):
-        row = np.zeros(nv)
-        row[i::n] = weights * (receiver[:, i] - receiver[:, j] + epsilon)
-        cons.append(Constraint(row, ">=", 0.0))
-    return LinearProgram((weights[:, None] * sender).reshape(nv), cons)
+    I, J = np.nonzero(~np.eye(n, dtype=bool))  # the pairs in permutations order
+    P = I.size
+    A = np.zeros((S + P, S, n))
+    A[np.arange(S), np.arange(S)] = 1.0
+    A[S + np.arange(P)[:, None], np.arange(S), I[:, None]] = (
+        weights * (receiver[:, I] - receiver[:, J] + epsilon).T)
+    return LinearProgram((weights[:, None] * sender).reshape(S * n),
+                         A=A.reshape(S + P, S * n),
+                         relations=np.repeat(["=", ">="], [S, P]),
+                         b=np.repeat([1.0, 0.0], [S, P]))
 
 
 def solve_exact(instance: ExplicitInstance, epsilon: float = 0.0) -> ExactSolution:
@@ -113,17 +113,12 @@ def expand_product(instance: Union[IIDInstance, IndependentInstance],
     total = int(np.prod(sizes, dtype=np.int64))
     if total > cap:
         raise InstanceTooLargeError(total, cap)
-    n = len(marginals)
-    probs = np.empty(total)
-    sender = np.empty((total, n))
-    receiver = np.empty((total, n))
-    for t, profile in enumerate(itertools.product(*(range(k) for k in sizes))):
-        p = 1.0
-        for i, j in enumerate(profile):
-            p *= marginals[i].type_probs[j]
-            sender[t, i] = marginals[i].sender_payoffs[j]
-            receiver[t, i] = marginals[i].receiver_payoffs[j]
-        probs[t] = p
+    columns = list(zip(marginals, profiles_of(instance).T))
+    probs = np.ones(total)
+    for m, types in columns:  # multiplied in action order, as 1.0 * q0 * q1 ...
+        probs *= m.type_probs[types]
+    sender = np.column_stack([m.sender_payoffs[types] for m, types in columns])
+    receiver = np.column_stack([m.receiver_payoffs[types] for m, types in columns])
     return ExplicitInstance(probs, sender, receiver)
 
 
@@ -139,19 +134,14 @@ def profiles_of(instance: Union[IIDInstance, IndependentInstance]) -> np.ndarray
 def honest_scheme(instance: ExplicitInstance) -> DirectScheme:
     """Recommend the receiver-best action of each state (ties to the sender)."""
     rec = best_response_many(instance.receiver_payoffs, instance.sender_payoffs)
-    phi = np.zeros((instance.state_count, instance.action_count))
-    phi[np.arange(instance.state_count), rec] = 1.0
-    return DirectScheme(phi)
+    return DirectScheme(np.eye(instance.action_count)[rec])
 
 
 def no_information_scheme(instance: ExplicitInstance) -> DirectScheme:
     """Constant recommendation of the receiver's prior-best action."""
-    prior_r = instance.state_probs @ instance.receiver_payoffs
-    prior_s = instance.state_probs @ instance.sender_payoffs
-    i = best_response(prior_r, prior_s)
-    phi = np.zeros((instance.state_count, instance.action_count))
-    phi[:, i] = 1.0
-    return DirectScheme(phi)
+    i = best_response(instance.state_probs @ instance.receiver_payoffs,
+                      instance.state_probs @ instance.sender_payoffs)
+    return DirectScheme(np.eye(instance.action_count)[np.full(instance.state_count, i)])
 
 
 def full_information_scheme(instance: ExplicitInstance) -> DirectScheme:

@@ -32,7 +32,7 @@ from .errors import (
     SolverError,
     ValidationError,
 )
-from .lp import Constraint, LinearProgram, solve
+from .lp import LinearProgram, solve
 from .model import DirectScheme, IIDInstance
 
 S_SIG_TOL = 1e-9
@@ -226,28 +226,19 @@ def solve_s_signature(instance: IIDInstance) -> Tuple[SSignature, float]:
     n, m = work.action_count, work.type_count
     q, xi, rho = work.type_probs, work.sender_payoffs, work.receiver_payoffs
 
-    base = []
-    ones_x = np.concatenate([np.ones(m), np.zeros(m)])
-    ones_y = np.concatenate([np.zeros(m), np.ones(m)])
-    base.append(Constraint(ones_x, "=", 1.0 / n))
-    base.append(Constraint(ones_y, "=", 1.0 / n))
-    for j in range(m):
-        row = np.zeros(2 * m)
-        row[j] = 1.0
-        row[m + j] = n - 1.0
-        base.append(Constraint(row, "=", float(q[j])))
-    base.append(Constraint(np.concatenate([rho, -rho]), ">=", 0.0))
+    # rows: sum x = 1/n, sum y = 1/n, x_j + (n-1) y_j = q_j, rho.(x - y) >= 0,
+    # then one Border cut n * x(A) <= 1 - (1 - q(A))^n per violated set A
+    eye = np.eye(m)
+    A = np.vstack([np.kron(np.eye(2), np.ones(m)),
+                   np.hstack([eye, (n - 1.0) * eye]),
+                   np.concatenate([rho, -rho])])
+    relations = ["="] * (m + 2) + [">="]
+    b = np.concatenate([[1.0 / n, 1.0 / n], q, [0.0]])
     objective = np.concatenate([n * xi, np.zeros(m)])
 
     cuts: list[tuple[int, ...]] = []
     while True:
-        cons = list(base)
-        for A in cuts:
-            row = np.zeros(2 * m)
-            row[list(A)] = float(n)
-            qa = q[list(A)].sum()
-            cons.append(Constraint(row, "<=", 1.0 - (1.0 - qa) ** n))
-        out = solve(LinearProgram(objective, cons))
+        out = solve(LinearProgram(objective, A=A, relations=relations, b=b))
         if out.status != "optimal":
             raise SolverError(f"s-signature LP ended with status {out.status}")
         x = np.clip(out.point[:m], 0.0, None)
@@ -255,6 +246,9 @@ def solve_s_signature(instance: IIDInstance) -> Tuple[SSignature, float]:
         if check.feasible or check.violating_set in cuts:
             break
         cuts.append(check.violating_set)
+        A = np.vstack([A, np.isin(np.arange(2 * m), cuts[-1]) * float(n)])
+        relations = relations + ["<="]
+        b = np.append(b, 1.0 - (1.0 - q[list(cuts[-1])].sum()) ** n)
 
     y = np.clip(out.point[m:], 0.0, None)
     full_x = np.zeros(instance.type_count)
@@ -267,12 +261,29 @@ def solve_s_signature(instance: IIDInstance) -> Tuple[SSignature, float]:
     return SSignature(full_x, full_y, n), float(out.value)
 
 
+def transport_lp(profiles: np.ndarray, q: np.ndarray, tau: np.ndarray) -> LinearProgram:
+    """Feasibility LP of an allocation rule with reduced form tau.
+
+    Variable t*n + i is bidder i's chance of the item at profile t. One
+    "<=" row per profile caps its total at 1; one "=" row per (bidder i,
+    type j) sets i's prior-weighted wins at type j to q_j * tau_j.
+    """
+    (S, n), m = profiles.shape, q.size
+    A = np.zeros((S + n * m, S, n))
+    A[np.arange(S), np.arange(S)] = 1.0
+    rows = S + np.arange(n) * m + profiles  # (t, i) -> row of (i, type of i at t)
+    A[rows, np.arange(S)[:, None], np.arange(n)] = np.prod(q[profiles], axis=1)[:, None]
+    return LinearProgram(np.zeros(S * n), A=A.reshape(S + n * m, S * n),
+                         relations=np.repeat(["<=", "="], [S, n * m]),
+                         b=np.concatenate([np.ones(S), np.tile(q * tau, n)]))
+
+
 def decompose_reduced_form(tau, q, n: int, cap: int = PROFILE_CAP) -> AllocationRule:
     """Explicit allocation rule realizing a feasible symmetric reduced form.
 
     A constant reduced form is realized exactly by the uniform lottery, so
-    that case is closed-form. Otherwise this solves a transportation LP
-    over all m^n type profiles: allocation mass per (profile, bidder) is
+    that case is closed-form. Otherwise this solves transport_lp over all
+    m^n type profiles: allocation mass per (profile, bidder) is
     constrained to reproduce tau exactly for every bidder and type.
     """
     tau = np.asarray(tau.win_probs if isinstance(tau, ReducedForm) else tau,
@@ -284,28 +295,13 @@ def decompose_reduced_form(tau, q, n: int, cap: int = PROFILE_CAP) -> Allocation
     m = q.size
     profiles = all_profiles(m, n, cap)
     S = profiles.shape[0]
-    lam = np.prod(q[profiles], axis=1)
-
     if np.ptp(tau) <= 1e-12 and tau[0] <= 1.0 / n + BORDER_TOL:
         share = min(tau[0], 1.0 / n)
         probs = np.full((S, n + 1), share)
         probs[:, n] = 1.0 - n * share
         return AllocationRule(profiles, probs)
 
-    # variables: A[t, i] flattened row-major
-    nv = S * n
-    cons = []
-    for t in range(S):
-        row = np.zeros(nv)
-        row[t * n:(t + 1) * n] = 1.0
-        cons.append(Constraint(row, "<=", 1.0))
-    for i in range(n):
-        for j in range(m):
-            row = np.zeros(nv)
-            hits = np.nonzero(profiles[:, i] == j)[0]
-            row[hits * n + i] = lam[hits]
-            cons.append(Constraint(row, "=", float(q[j] * tau[j])))
-    out = solve(LinearProgram(np.zeros(nv), cons))
+    out = solve(transport_lp(profiles, q, tau))
     if out.status != "optimal":
         raise SolverError(f"decomposition LP ended with status {out.status}")
     A = np.clip(out.point.reshape(S, n), 0.0, None)

@@ -16,7 +16,7 @@ from typing import Tuple
 import numpy as np
 
 from .errors import InstanceTooLargeError, SolverError, ValidationError
-from .lp import Constraint, LinearProgram, solve
+from .lp import LinearProgram, solve
 
 BRUTE_CAP = 20
 LP_CAP = 12
@@ -87,6 +87,17 @@ def _state_types(n: int) -> np.ndarray:
     return 2 * bits - 1
 
 
+def _realizability_rows(n: int, lam: float) -> np.ndarray:
+    """Rows sig*2n + 2i + t, over columns (phi_plus, phi_minus, 4n zeros):
+    lam in column sig*2^n + s of every state s where action i has type t."""
+    S = 2 ** n
+    rows = np.zeros((4 * n, 2 * S + 4 * n))
+    sig = np.arange(2)[:, None, None]
+    t = (_state_types(n) + 1) // 2  # (S, n) type index
+    rows[sig * 2 * n + 2 * np.arange(n) + t, sig * S + np.arange(S)[:, None]] = lam
+    return rows
+
+
 def _khintchine_lp(a: np.ndarray):
     """Build and solve the two-signal signature LP for objective vector a.
 
@@ -95,45 +106,28 @@ def _khintchine_lp(a: np.ndarray):
     by the realizability equalities and restricted to equal signal
     probabilities.
     """
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 1 or a.size == 0:
+        raise ValidationError("a must be a nonempty vector")
     n = a.size
     if n > LP_CAP:
         raise InstanceTooLargeError(2 ** n, 2 ** LP_CAP)
     S = 2 ** n
-    lam = 1.0 / S
-    types = _state_types(n)  # (S, n) of +-1
+    # columns phi_plus (S), phi_minus (S), plus (n, 2), minus (n, 2); rows: 4n
+    # realizability rows, then phi_plus + phi_minus = 1, then plus rows = 1/2
+    A = np.zeros((4 * n + S + n, 2 * S + 4 * n))
+    A[: 4 * n] = _realizability_rows(n, -1.0 / S)
+    A[np.arange(4 * n), 2 * S + np.arange(4 * n)] = 1.0
+    A[4 * n: 4 * n + S, : 2 * S] = np.hstack([np.eye(S), np.eye(S)])
+    i = np.arange(n)[:, None]
+    A[4 * n + S + i, 2 * S + 2 * i + np.arange(2)] = 1.0
+    b = np.concatenate([np.zeros(4 * n), np.ones(S), np.full(n, 0.5)])
 
-    # layout: phi_plus (S), phi_minus (S), plus entries (n, 2), minus (n, 2)
-    def m_col(sig: int, i: int, t: int) -> int:
-        return 2 * S + sig * 2 * n + 2 * i + t
-
-    nv = 2 * S + 4 * n
-    cons = []
-    for sig in range(2):
-        for i in range(n):
-            for t in range(2):  # column order (type -1, type +1)
-                row = np.zeros(nv)
-                row[m_col(sig, i, t)] = 1.0
-                hits = np.nonzero(types[:, i] == (2 * t - 1))[0]
-                row[hits + sig * S] = -lam
-                cons.append(Constraint(row, "=", 0.0))
-    for s in range(S):
-        row = np.zeros(nv)
-        row[s] = 1.0
-        row[S + s] = 1.0
-        cons.append(Constraint(row, "=", 1.0))
-    for i in range(n):
-        row = np.zeros(nv)
-        row[m_col(0, i, 0)] = 1.0
-        row[m_col(0, i, 1)] = 1.0
-        cons.append(Constraint(row, "=", 0.5))
-
-    c = np.zeros(nv)
-    for i in range(n):
-        c[m_col(0, i, 1)] += a[i]
-        c[m_col(0, i, 0)] -= a[i]
-        c[m_col(1, i, 1)] -= a[i]
-        c[m_col(1, i, 0)] += a[i]
-    out = solve(LinearProgram(c, cons))
+    c = np.zeros(2 * S + 4 * n)
+    signed = c[2 * S:].reshape(2, n, 2)
+    signed[0, :, 1] = signed[1, :, 0] = 0.0 + a
+    signed[0, :, 0] = signed[1, :, 1] = 0.0 - a
+    out = solve(LinearProgram(c, A=A, relations=np.full(b.size, "="), b=b))
     if out.status != "optimal":
         raise SolverError(f"two-signal signature LP ended with status {out.status}")
     plus = out.point[2 * S: 2 * S + 2 * n].reshape(n, 2)
@@ -144,16 +138,11 @@ def _khintchine_lp(a: np.ndarray):
 
 def solve_khintchine_lp(a) -> float:
     """K(a) as the optimum of the two-signal signature LP."""
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 1 or a.size == 0:
-        raise ValidationError("a must be a nonempty vector")
-    value, _, _, _ = _khintchine_lp(a)
-    return value
+    return _khintchine_lp(a)[0]
 
 
 def khintchine_lp_witness(a) -> Tuple[float, TwoSignalSignature, np.ndarray]:
     """LP optimum together with its optimal signature and scheme."""
-    a = np.asarray(a, dtype=float)
     value, plus, minus, phi = _khintchine_lp(a)
     return value, TwoSignalSignature(np.clip(plus, 0.0, None),
                                      np.clip(minus, 0.0, None)), phi
@@ -170,24 +159,12 @@ def membership_check(signature: TwoSignalSignature) -> bool:
     if n > LP_CAP:
         raise InstanceTooLargeError(2 ** n, 2 ** LP_CAP)
     S = 2 ** n
-    lam = 1.0 / S
-    types = _state_types(n)
-    nv = 2 * S
-    cons = []
-    targets = (signature.plus, signature.minus)
-    for sig in range(2):
-        for i in range(n):
-            for t in range(2):
-                row = np.zeros(nv)
-                hits = np.nonzero(types[:, i] == (2 * t - 1))[0]
-                row[hits + sig * S] = lam
-                cons.append(Constraint(row, "=", float(targets[sig][i, t])))
-    for s in range(S):
-        row = np.zeros(nv)
-        row[s] = 1.0
-        row[S + s] = 1.0
-        cons.append(Constraint(row, "=", 1.0))
-    out = solve(LinearProgram(np.zeros(nv), cons))
+    A = np.vstack([_realizability_rows(n, 1.0 / S)[:, : 2 * S],
+                   np.hstack([np.eye(S), np.eye(S)])])
+    b = np.concatenate([signature.plus.ravel(), signature.minus.ravel(),
+                        np.ones(S)])
+    out = solve(LinearProgram(np.zeros(2 * S), A=A,
+                              relations=np.full(b.size, "="), b=b))
     if out.status == "optimal":
         return True
     if out.status == "infeasible":

@@ -15,6 +15,11 @@ priors a pivot touches about one row in seven on average. The phase-1 objective 
 is priced only until phase 1 ends. Standardization maps variables to
 tableau columns through index arrays built once per program.
 
+A program is held in matrix form (A, relations, b), which the builders
+assemble with numpy and the constructor checks in one vectorized pass;
+row input is stacked once (see LinearProgram). Standardization copies A
+into place and the returned point is checked with one A @ x.
+
 The tableau has no artificial columns. Artificial variables exist only as
 basis labels: phase 1 prices and the drive-out step reads only the
 structural and slack columns, and duals and Farkas vectors are recovered
@@ -28,11 +33,12 @@ keep theirs). The start is accepted when the named block A[R, cols] is
 diagonal with a nonzero diagonal, every other row is an inequality, and
 the basic solution is nonnegative up to FEAS_TOL. The basis matrix is then
 block lower-triangular, so B^-1 [A | b] and the priced phase-2 row come
-from one block elimination instead of one pivot per row. Any other start
-leaves the tableau untouched and runs the cold solve, byte for byte as
-without a start. Installing the start is not counted as pivots. A crash
-solve that does not end optimal is redone cold: the tableau accumulates
-rounding error pivot by pivot, and on one 243-state i.i.d. expansion the
+from one block elimination (on slice views when the named rows are a
+prefix, as in every direct-scheme start) instead of one pivot per row.
+Any other start leaves the tableau untouched and runs the cold solve,
+byte for byte as without a start. Installing the start is not counted as
+pivots. A crash solve that does not end optimal is redone cold: rounding
+error builds up pivot by pivot, and on one 243-state i.i.d. expansion the
 phase 2 from the honest start drifted into a numerical failure that the
 cold path does not hit. So a start never costs a certified answer.
 
@@ -47,6 +53,7 @@ An external solver can be substituted behind the same contract by passing
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -57,10 +64,6 @@ from .errors import ValidationError
 PIVOT_TOL = 1e-10
 FEAS_TOL = 1e-8
 
-_RELATIONS = {"<=", "=", ">="}
-_REL_ALIASES = {"==": "=", "<": "<=", ">": ">=", "le": "<=", "eq": "=", "ge": ">="}
-
-
 @dataclass(frozen=True)
 class Constraint:
     coeffs: np.ndarray
@@ -68,45 +71,88 @@ class Constraint:
     rhs: float
 
 
+def _stack_rows(constraints, n: int):
+    """(A, relations, b) from Constraint objects or (coeffs, relation, rhs)."""
+    rows = [(c.coeffs, c.relation, c.rhs) if isinstance(c, Constraint) else c
+            for c in constraints]
+    for k, (coeffs, _, _) in enumerate(rows):
+        if np.shape(coeffs) != (n,):
+            raise ValidationError(
+                f"constraint {k}: expected {n} coefficients, got {np.shape(coeffs)}")
+    coeffs, relations, rhs = zip(*rows) if rows else ((), (), ())
+    return np.array(coeffs, dtype=float).reshape(len(rows), n), relations, rhs
+
+
+def _checked_relations(relations, k: int) -> np.ndarray:
+    """k relations, each "<=", "=" or ">=", as a "<U2" array."""
+    rel = np.asarray(relations, dtype=str).reshape(-1)
+    if rel.size != k:
+        raise ValidationError(f"expected {k} relations, got {rel.size}")
+    unknown = (rel != "<=") & (rel != "=") & (rel != ">=")
+    if unknown.any():
+        r = int(np.argmax(unknown))
+        raise ValidationError(f"constraint {r}: unknown relation {rel[r]!r}")
+    return rel.astype("<U2")
+
+
+@dataclass(frozen=True)
+class _Rows(Sequence):
+    """Read-only row view of a program's (A, relations, b)."""
+
+    _lp: "LinearProgram"
+
+    def __len__(self) -> int:
+        return self._lp.b.size
+
+    def __getitem__(self, k: int) -> Constraint:
+        return Constraint(self._lp.A[k], str(self._lp.relations[k]), float(self._lp.b[k]))
+
+
 @dataclass(frozen=True)
 class LinearProgram:
-    """maximize objective @ x subject to linear constraints and bounds.
+    """maximize objective @ x subject to A x (relations) b and bounds.
+
+    Constraints are ``A`` (k x n), ``relations`` (k of "<=", "=", ">=")
+    and ``b`` (k), checked in one vectorized pass and kept as read-only
+    views, not copies. Row input,
+    ``LinearProgram(c, [(coeffs, relation, rhs) or Constraint, ...])``, is
+    stacked once; ``constraints`` reads the rows back from A.
 
     Variable lower bounds default to 0; upper bounds default to +inf.
     A lower bound of -inf makes the variable free.
     """
 
     objective: np.ndarray
-    constraints: tuple[Constraint, ...]
+    A: np.ndarray
+    relations: np.ndarray
+    b: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
 
-    def __init__(self, objective, constraints=(), lower=None, upper=None):
+    def __init__(self, objective, constraints=(), lower=None, upper=None, *,
+                 A=None, relations=None, b=None):
         c = np.asarray(objective, dtype=float)
         if c.ndim != 1 or c.size == 0:
             raise ValidationError("objective must be a nonempty vector")
         if not np.all(np.isfinite(c)):
             raise ValidationError("objective coefficients must be finite")
         n = c.size
-        rows = []
-        for k, item in enumerate(constraints):
-            if isinstance(item, Constraint):
-                coeffs, relation, rhs = item.coeffs, item.relation, item.rhs
-            else:
-                coeffs, relation, rhs = item
-            a = np.asarray(coeffs, dtype=float)
-            rel = _REL_ALIASES.get(relation, relation)
-            if rel not in _RELATIONS:
-                raise ValidationError(f"constraint {k}: unknown relation {relation!r}")
-            if a.shape != (n,):
+        if A is None:
+            if relations is not None or b is not None:
+                raise ValidationError("relations and b need A")
+            A, relations, b = _stack_rows(constraints, n)
+        elif len(constraints):
+            raise ValidationError("give constraints as rows or as A, not both")
+        A = np.ascontiguousarray(A, dtype=float)
+        b = np.asarray(b, dtype=float)
+        if b.ndim != 1 or A.shape != (b.size, n):
+            raise ValidationError(f"A must have shape ({b.size}, {n}), got {A.shape}")
+        rel = _checked_relations(relations, b.size)
+        for name, values in (("rhs", b[:, None]), ("coefficients", A)):
+            finite = np.isfinite(values).all(axis=1)
+            if not finite.all():
                 raise ValidationError(
-                    f"constraint {k}: expected {n} coefficients, got {a.shape}"
-                )
-            if not np.isfinite(rhs):
-                raise ValidationError(f"constraint {k}: rhs must be finite")
-            if not np.all(np.isfinite(a)):
-                raise ValidationError(f"constraint {k}: coefficients must be finite")
-            rows.append(Constraint(a, rel, float(rhs)))
+                    f"constraint {np.argmin(finite)}: {name} must be finite")
         lo = np.zeros(n) if lower is None else np.asarray(lower, dtype=float) + 0.0
         hi = np.full(n, np.inf) if upper is None else np.asarray(upper, dtype=float) + 0.0
         if lo.shape != (n,) or hi.shape != (n,):
@@ -115,10 +161,16 @@ class LinearProgram:
             raise ValidationError("lower bounds must be finite or -inf")
         if np.any(hi == -np.inf):
             raise ValidationError("upper bounds must be finite or +inf")
-        object.__setattr__(self, "objective", c)
-        object.__setattr__(self, "constraints", tuple(rows))
-        object.__setattr__(self, "lower", lo)
-        object.__setattr__(self, "upper", hi)
+        for name, value in zip(("objective", "A", "relations", "b", "lower", "upper"),
+                               (c, A, rel, b, lo, hi)):
+            view = value.view()  # read-only; the caller's array stays writeable
+            view.setflags(write=False)
+            object.__setattr__(self, name, view)
+
+    @property
+    def constraints(self) -> Sequence:
+        """The rows as Constraint objects over views of A (read-only)."""
+        return _Rows(self)
 
 
 @dataclass(frozen=True)
@@ -166,7 +218,7 @@ def solve(lp: LinearProgram, engine: Optional[Engine] = None,
         return engine(lp)
     if start is not None:
         start = np.asarray(start)
-        if start.shape != (len(lp.constraints),) or (
+        if start.shape != (lp.b.size,) or (
                 start.size and start.dtype.kind not in "iu"):
             raise ValidationError("start needs one integer entry per constraint")
         if np.any(start < -1) or np.any(start >= lp.objective.size):
@@ -200,19 +252,21 @@ class _Standardized:
         shift = np.where(free, 0.0, lp.lower)
 
         bounded = (lp.upper < np.inf).nonzero()[0]
-        k = len(lp.constraints)
+        k = lp.b.size
         m = k + bounded.size
         A = np.zeros((m, ncols))
         b = np.empty(m)
-        self._place(A[:k], np.array([con.coeffs for con in lp.constraints]).reshape(k, n))
-        # one dot product per row: A @ shift may round differently
-        b[:k] = [con.rhs - con.coeffs @ shift for con in lp.constraints]
+        self._place(A[:k], lp.A)
+        # one dot product per row (A @ shift may round differently); with a
+        # zero shift every dot is +0.0 and rhs - 0.0 == rhs, so b is lp.b
+        b[:k] = ([rhs - row @ shift for row, rhs in zip(lp.A, lp.b)]
+                 if shift.any() else lp.b)
         if bounded.size:  # one "<=" row per finite upper bound
             unit = np.zeros((bounded.size, n))
             unit[np.arange(bounded.size), bounded] = 1.0
             self._place(A[k:], unit)
             b[k:] = lp.upper[bounded] - shift[bounded]
-        rel = [con.relation for con in lp.constraints] + ["<="] * bounded.size
+        rel = lp.relations.tolist() + ["<="] * bounded.size
         origin = list(range(k)) + [-1] * bounded.size  # -1 marks a bound row
 
         sign = np.ones(m)
@@ -314,7 +368,8 @@ class _Tableau:
         B^-1 [A | b] is: the R rows divided by their diagonal, and the other
         rows minus C @ (those rows), divided by their slack coefficient,
         where C is their part of the named columns. It is also rejected when
-        an entry of B^-1 b is below -FEAS_TOL.
+        an entry of B^-1 b is below -FEAS_TOL. When R is a prefix of the
+        rows, both blocks are updated in place through slice views.
         """
         named = np.full(self.m, -1)
         named[: start.size] = start
@@ -335,12 +390,19 @@ class _Tableau:
         rhs_other = (T[O, -1] - C @ rhs) / slack
         if min(rhs.min(initial=0.0), rhs_other.min(initial=0.0)) < -FEAS_TOL:
             return False
-        TR = T[R]
-        TR /= diag[:, None]
-        T[R] = TR
+        prefix = R.size == 0 or R[-1] == R.size - 1
+        TR = T[: R.size] if prefix else T[R]
+        if not np.all(diag == 1.0):  # x / 1.0 == x
+            TR /= diag[:, None]
         # the named columns come out as exact unit vectors: x / x == 1 and,
         # with TR[:, cols] == I, C - C @ TR[:, cols] == 0
-        T[O] = (T[O] - C @ TR) / slack[:, None]
+        if prefix:
+            TO = T[R.size:]
+            TO -= C @ TR
+            TO /= slack[:, None]
+        else:
+            T[R] = TR
+            T[O] = (T[O] - C @ TR) / slack[:, None]
         z2 = self.z2
         z2 -= z2[cols] @ TR
         z2[cols] = 0.0
@@ -470,15 +532,10 @@ def _simplex(lp: LinearProgram, start: Optional[np.ndarray] = None) -> LpOutcome
 def _feasible(lp: LinearProgram, x: np.ndarray) -> bool:
     if np.any(x < lp.lower - FEAS_TOL) or np.any(x > lp.upper + FEAS_TOL):
         return False
-    for con in lp.constraints:
-        lhs = con.coeffs @ x
-        if con.relation == "<=" and lhs > con.rhs + FEAS_TOL:
-            return False
-        if con.relation == ">=" and lhs < con.rhs - FEAS_TOL:
-            return False
-        if con.relation == "=" and abs(lhs - con.rhs) > FEAS_TOL:
-            return False
-    return True
+    lhs, rhs, rel = lp.A @ x, lp.b, lp.relations
+    return not (np.any((lhs > rhs + FEAS_TOL) & (rel == "<="))
+                or np.any((lhs < rhs - FEAS_TOL) & (rel == ">="))
+                or np.any((np.abs(lhs - rhs) > FEAS_TOL) & (rel == "=")))
 
 
 def _basis_duals(std: _Standardized, tab: _Tableau, kept_rows: np.ndarray,

@@ -24,9 +24,10 @@ import numpy as np
 
 from .blackbox import SampleOracle
 from .errors import InstanceTooLargeError, SolverError, ValidationError
-from .iid import Signature, all_profiles
+from .exact import honest_scheme, no_information_scheme
+from .iid import Signature, all_profiles, transport_lp
 from .khintchine import TwoSignalSignature, membership_check
-from .lp import Constraint, LinearProgram, solve
+from .lp import LinearProgram, solve
 from .model import (
     DirectScheme,
     ExplicitInstance,
@@ -117,8 +118,7 @@ class FullInformationSampler:
     """Recommends the receiver-best action of the realized state."""
 
     def __init__(self, instance: ExplicitInstance):
-        self._rec = best_response_many(instance.receiver_payoffs,
-                                       instance.sender_payoffs)
+        self._rec = honest_scheme(instance).phi.argmax(axis=1)
 
     def sample(self, state: int, rng: np.random.Generator) -> int:
         return int(self._rec[state])
@@ -131,9 +131,7 @@ class NoInformationSampler:
     """Constant recommendation of the receiver's prior-best action."""
 
     def __init__(self, instance: ExplicitInstance):
-        prior_r = instance.state_probs @ instance.receiver_payoffs
-        prior_s = instance.state_probs @ instance.sender_payoffs
-        self._rec = best_response(prior_r, prior_s)
+        self._rec = int(no_information_scheme(instance).phi[0].argmax())
 
     def sample(self, state: int, rng: np.random.Generator) -> int:
         return self._rec
@@ -262,20 +260,15 @@ def realizability_check(signature: Union[Signature, TwoSignalSignature],
     profiles = all_profiles(m, n, cap=cap)
     S = profiles.shape[0]
     lam = np.prod(instance.type_probs[profiles], axis=1)
-    nv = S * n
-    cons = []
-    for i in range(n):
-        for j in range(n):
-            for k in range(m):
-                row = np.zeros(nv)
-                hits = np.nonzero(profiles[:, j] == k)[0]
-                row[hits * n + i] = lam[hits]
-                cons.append(Constraint(row, "=", float(M[i, j, k])))
-    for t in range(S):
-        row = np.zeros(nv)
-        row[t * n:(t + 1) * n] = 1.0
-        cons.append(Constraint(row, "=", 1.0))
-    out = solve(LinearProgram(np.zeros(nv), cons))
+    # variables phi[t, i] at t*n + i; one "=" row per (signal i, action j,
+    # type k) in that order, then one per state making its row a distribution
+    A = np.zeros((n * n * m + S, S, n))
+    i, j = np.arange(n)[:, None, None], np.arange(n)[None, :, None]
+    A[(i * n + j) * m + profiles.T, np.arange(S), i] = lam
+    A[n * n * m + np.arange(S), np.arange(S)] = 1.0
+    out = solve(LinearProgram(np.zeros(S * n), A=A.reshape(-1, S * n),
+                              relations=np.full(n * n * m + S, "="),
+                              b=np.concatenate([M.ravel(), np.ones(S)])))
     if out.status == "optimal":
         return True
     if out.status == "infeasible":
@@ -286,30 +279,16 @@ def realizability_check(signature: Union[Signature, TwoSignalSignature],
 def allocation_exists_bruteforce(tau, q, n: int, cap: int = 4096) -> bool:
     """Flow-style feasibility oracle for symmetric reduced forms.
 
-    Decides directly, by a transportation LP over all m^n type profiles,
-    whether any allocation rule gives every bidder of type j the item with
+    Decides directly, by a transportation LP over all m^n type profiles
+    (iid.transport_lp, the program decompose_reduced_form solves), whether
+    any allocation rule gives every bidder of type j the item with
     conditional probability tau[j]. Used to cross-check the subset
-    inequalities of border_feasible.
+    inequalities of border_feasible: it shares the program with the
+    decomposition, never the decision, so it does not call border_feasible.
     """
     tau = np.asarray(tau, dtype=float)
     q = np.asarray(q, dtype=float)
-    m = q.size
-    profiles = all_profiles(m, n, cap=cap)
-    S = profiles.shape[0]
-    lam = np.prod(q[profiles], axis=1)
-    nv = S * n
-    cons = []
-    for t in range(S):
-        row = np.zeros(nv)
-        row[t * n:(t + 1) * n] = 1.0
-        cons.append(Constraint(row, "<=", 1.0))
-    for i in range(n):
-        for j in range(m):
-            row = np.zeros(nv)
-            hits = np.nonzero(profiles[:, i] == j)[0]
-            row[hits * n + i] = lam[hits]
-            cons.append(Constraint(row, "=", float(q[j] * tau[j])))
-    out = solve(LinearProgram(np.zeros(nv), cons))
+    out = solve(transport_lp(all_profiles(q.size, n, cap=cap), q, tau))
     if out.status == "optimal":
         return True
     if out.status == "infeasible":
@@ -387,11 +366,10 @@ def _concavify_two(instance: ExplicitInstance) -> float:
 
 
 def _simplex_grid(resolution: int) -> np.ndarray:
-    pts = []
-    for i in range(resolution + 1):
-        for j in range(resolution + 1 - i):
-            pts.append((i, j, resolution - i - j))
-    return np.array(pts, dtype=float) / resolution
+    """Points (i, j, resolution - i - j) / resolution, i then j ascending."""
+    steps = np.arange(resolution + 1)
+    i, j = np.nonzero(steps[:, None] + steps <= resolution)
+    return np.stack([i, j, resolution - i - j], axis=1).astype(float) / resolution
 
 
 def _loci_points(instance: ExplicitInstance, resolution: int) -> np.ndarray:
@@ -455,9 +433,8 @@ def _concavify_three(instance: ExplicitInstance, resolution: int) -> float:
     vals = _value_at(instance, pts)
     # envelope at the prior: the best mixture of candidate posteriors
     # averaging back to the prior
-    cons = [Constraint(pts[:, k], "=", float(instance.state_probs[k]))
-            for k in range(3)]
-    out = solve(LinearProgram(vals, cons))
+    out = solve(LinearProgram(vals, A=pts.T, relations=["="] * 3,
+                              b=instance.state_probs))
     if out.status != "optimal":
         raise SolverError(f"envelope LP ended with status {out.status}")
     return float(out.value)

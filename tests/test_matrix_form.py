@@ -1,0 +1,609 @@
+"""Linear programs in matrix form.
+
+Every package builder assembles (A, relations, b) with numpy. Each one is
+checked byte for byte against a test-local copy of the row-by-row builder
+it replaced, which emits one (coeffs, relation, rhs) row per constraint.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+
+from persuasion import approx, blackbox, exact, fixtures, iid, khintchine, verify
+from persuasion.blackbox import _bucket_rows, solve_empirical_lp
+from persuasion.errors import ValidationError
+from persuasion.iid import all_profiles, border_feasible
+from persuasion.khintchine import TwoSignalSignature, _state_types
+from persuasion.lp import Constraint, LinearProgram, _Standardized, _Tableau, solve
+from persuasion.model import (DirectScheme, ExplicitInstance, IIDInstance,
+                              IndependentInstance, Marginal)
+
+
+def _same_program(new, old):
+    assert new.objective.tobytes() == old.objective.tobytes()
+    assert new.A.shape == old.A.shape and new.A.tobytes() == old.A.tobytes()
+    assert new.relations.dtype == old.relations.dtype
+    assert new.relations.tobytes() == old.relations.tobytes()
+    assert new.b.tobytes() == old.b.tobytes()
+
+
+def _recorded(monkeypatch, module, call):
+    """Programs that module's solve() receives while call() runs."""
+    seen = []
+
+    def record(lp, *args, **kwargs):
+        seen.append(lp)
+        return solve(lp, *args, **kwargs)
+
+    monkeypatch.setattr(module, "solve", record)
+    call()
+    monkeypatch.undo()
+    return seen
+
+
+# ---------------------------------------------------------------------------
+# the row builders, as they were
+
+
+def _rows_direct_scheme_lp(weights, sender, receiver, epsilon):
+    S, n = sender.shape
+    nv = S * n
+    cons = []
+    for t in range(S):
+        row = np.zeros(nv)
+        row[t * n:(t + 1) * n] = 1.0
+        cons.append(Constraint(row, "=", 1.0))
+    for i, j in itertools.permutations(range(n), 2):
+        row = np.zeros(nv)
+        row[i::n] = weights * (receiver[:, i] - receiver[:, j] + epsilon)
+        cons.append(Constraint(row, ">=", 0.0))
+    return LinearProgram((weights[:, None] * sender).reshape(nv), cons)
+
+
+def _rows_s_signature_lps(instance):
+    work, _ = iid._drop_zero_types(instance)
+    n, m = work.action_count, work.type_count
+    q, xi, rho = work.type_probs, work.sender_payoffs, work.receiver_payoffs
+    base = []
+    ones_x = np.concatenate([np.ones(m), np.zeros(m)])
+    ones_y = np.concatenate([np.zeros(m), np.ones(m)])
+    base.append(Constraint(ones_x, "=", 1.0 / n))
+    base.append(Constraint(ones_y, "=", 1.0 / n))
+    for j in range(m):
+        row = np.zeros(2 * m)
+        row[j] = 1.0
+        row[m + j] = n - 1.0
+        base.append(Constraint(row, "=", float(q[j])))
+    base.append(Constraint(np.concatenate([rho, -rho]), ">=", 0.0))
+    objective = np.concatenate([n * xi, np.zeros(m)])
+    lps, cuts = [], []
+    while True:
+        cons = list(base)
+        for A in cuts:
+            row = np.zeros(2 * m)
+            row[list(A)] = float(n)
+            qa = q[list(A)].sum()
+            cons.append(Constraint(row, "<=", 1.0 - (1.0 - qa) ** n))
+        lps.append(LinearProgram(objective, cons))
+        out = solve(lps[-1])
+        x = np.clip(out.point[:m], 0.0, None)
+        check = border_feasible(x / q, q, n)
+        if check.feasible or check.violating_set in cuts:
+            return lps
+        cuts.append(check.violating_set)
+
+
+def _rows_transport_lp(tau, q, n, cap):
+    m = q.size
+    profiles = all_profiles(m, n, cap=cap)
+    S = profiles.shape[0]
+    lam = np.prod(q[profiles], axis=1)
+    nv = S * n
+    cons = []
+    for t in range(S):
+        row = np.zeros(nv)
+        row[t * n:(t + 1) * n] = 1.0
+        cons.append(Constraint(row, "<=", 1.0))
+    for i in range(n):
+        for j in range(m):
+            row = np.zeros(nv)
+            hits = np.nonzero(profiles[:, i] == j)[0]
+            row[hits * n + i] = lam[hits]
+            cons.append(Constraint(row, "=", float(q[j] * tau[j])))
+    return LinearProgram(np.zeros(nv), cons)
+
+
+def _rows_relaxation_lp(instance):
+    n, m = instance.action_count, instance.type_count
+    q, xi, rho = instance.type_probs, instance.sender_payoffs, instance.receiver_payoffs
+    cons = [Constraint(np.concatenate([np.ones(m), np.zeros(m)]), "=", 1.0 / n)]
+    for j in range(m):
+        row = np.zeros(2 * m)
+        row[j] = 1.0
+        row[m + j] = n - 1.0
+        cons.append(Constraint(row, "=", float(q[j])))
+    cons.append(Constraint(np.concatenate([rho, -rho]), ">=", 0.0))
+    if n == 1:
+        cons.append(Constraint(np.concatenate([np.zeros(m), np.ones(m)]), "=", 1.0))
+    return LinearProgram(np.concatenate([n * xi, np.zeros(m)]), cons)
+
+
+def _rows_realizability_lp(signature, instance, cap=4096):
+    n, m = instance.action_count, instance.type_count
+    M = signature.matrices
+    profiles = all_profiles(m, n, cap=cap)
+    S = profiles.shape[0]
+    lam = np.prod(instance.type_probs[profiles], axis=1)
+    nv = S * n
+    cons = []
+    for i in range(n):
+        for j in range(n):
+            for k in range(m):
+                row = np.zeros(nv)
+                hits = np.nonzero(profiles[:, j] == k)[0]
+                row[hits * n + i] = lam[hits]
+                cons.append(Constraint(row, "=", float(M[i, j, k])))
+    for t in range(S):
+        row = np.zeros(nv)
+        row[t * n:(t + 1) * n] = 1.0
+        cons.append(Constraint(row, "=", 1.0))
+    return LinearProgram(np.zeros(nv), cons)
+
+
+def _rows_envelope_lp(instance, resolution):
+    pts = np.vstack([
+        verify._simplex_grid(resolution),
+        verify._loci_points(instance, resolution),
+        instance.state_probs[None, :],
+    ])
+    vals = verify._value_at(instance, pts)
+    cons = [Constraint(pts[:, k], "=", float(instance.state_probs[k]))
+            for k in range(3)]
+    return LinearProgram(vals, cons)
+
+
+def _rows_khintchine_lp(a):
+    n = a.size
+    S = 2 ** n
+    lam = 1.0 / S
+    types = _state_types(n)
+
+    def m_col(sig, i, t):
+        return 2 * S + sig * 2 * n + 2 * i + t
+
+    nv = 2 * S + 4 * n
+    cons = []
+    for sig in range(2):
+        for i in range(n):
+            for t in range(2):
+                row = np.zeros(nv)
+                row[m_col(sig, i, t)] = 1.0
+                hits = np.nonzero(types[:, i] == (2 * t - 1))[0]
+                row[hits + sig * S] = -lam
+                cons.append(Constraint(row, "=", 0.0))
+    for s in range(S):
+        row = np.zeros(nv)
+        row[s] = 1.0
+        row[S + s] = 1.0
+        cons.append(Constraint(row, "=", 1.0))
+    for i in range(n):
+        row = np.zeros(nv)
+        row[m_col(0, i, 0)] = 1.0
+        row[m_col(0, i, 1)] = 1.0
+        cons.append(Constraint(row, "=", 0.5))
+    c = np.zeros(nv)
+    for i in range(n):
+        c[m_col(0, i, 1)] += a[i]
+        c[m_col(0, i, 0)] -= a[i]
+        c[m_col(1, i, 1)] -= a[i]
+        c[m_col(1, i, 0)] += a[i]
+    return LinearProgram(c, cons)
+
+
+def _rows_membership_lp(signature):
+    n = signature.action_count
+    S = 2 ** n
+    lam = 1.0 / S
+    types = _state_types(n)
+    nv = 2 * S
+    cons = []
+    targets = (signature.plus, signature.minus)
+    for sig in range(2):
+        for i in range(n):
+            for t in range(2):
+                row = np.zeros(nv)
+                hits = np.nonzero(types[:, i] == (2 * t - 1))[0]
+                row[hits + sig * S] = lam
+                cons.append(Constraint(row, "=", float(targets[sig][i, t])))
+    for s in range(S):
+        row = np.zeros(nv)
+        row[s] = 1.0
+        row[S + s] = 1.0
+        cons.append(Constraint(row, "=", 1.0))
+    return LinearProgram(np.zeros(nv), cons)
+
+
+# ---------------------------------------------------------------------------
+# the nine builders against their row copies
+
+
+def _explicit_cases():
+    rng = np.random.default_rng(20150319)
+    cases = []
+    for S, n in ((1, 1), (1, 3), (25, 1), (30, 3), (12, 5), (60, 4)):
+        cases.append(fixtures.random_explicit(rng, S, n))
+        cases.append(fixtures.random_explicit(rng, S, n, nonnegative=True))
+    inst = fixtures.random_explicit(rng, 40, 3)
+    probs = inst.state_probs.copy()
+    probs[::3] = 0.0  # zero-probability states
+    cases.append(ExplicitInstance(probs / probs.sum(), inst.sender_payoffs,
+                                  inst.receiver_payoffs))
+    return cases
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.05])
+def test_direct_scheme_lp_matches_row_builder(eps):
+    for inst in _explicit_cases():
+        args = (inst.state_probs, inst.sender_payoffs, inst.receiver_payoffs, eps)
+        _same_program(exact.direct_scheme_lp(*args), _rows_direct_scheme_lp(*args))
+
+
+def test_empirical_lp_matches_row_builder():
+    rng = np.random.default_rng(5)
+    oracle = blackbox.ExplicitOracle(fixtures.investor_blackbox_instance())
+    for eps in (0.0, 0.05):
+        s, r = oracle.draw_batch(400, rng)
+        seen = _recorded(pytest.MonkeyPatch(), blackbox,
+                         lambda: solve_empirical_lp((s, r), eps))
+        uniq, _, counts = np.unique(np.hstack([s, r]), axis=0, return_inverse=True,
+                                    return_counts=True)
+        n = s.shape[1]
+        _same_program(seen[0], _rows_direct_scheme_lp(
+            counts / 400, uniq[:, :n], uniq[:, n:], eps))
+
+
+def _iid_cases():
+    rng = np.random.default_rng(7919)
+    cases = [fixtures.investor(), fixtures.random_iid(rng, actions=1, types=3)]
+    for n in range(1, 6):
+        for m in (1, 2, 4, 6):
+            cases.append(fixtures.random_iid(rng, actions=n, types=m))
+    inst = fixtures.random_iid(rng, actions=3, types=5)
+    probs = inst.type_probs.copy()
+    probs[[1, 3]] = 0.0  # zero-probability types
+    cases.append(IIDInstance(3, probs / probs.sum(), inst.sender_payoffs,
+                             inst.receiver_payoffs))
+    return cases
+
+
+def test_s_signature_lps_match_row_builder(monkeypatch):
+    cut_rounds = 0
+    for inst in _iid_cases():
+        new = _recorded(monkeypatch, iid, lambda: iid.solve_s_signature(inst))
+        old = _rows_s_signature_lps(inst)
+        assert len(new) == len(old)
+        cut_rounds += len(new) - 1
+        for a, b in zip(new, old):
+            _same_program(a, b)
+    assert cut_rounds > 0
+
+
+def test_relaxation_lp_matches_row_builder(monkeypatch):
+    for inst in _iid_cases():
+        if np.any(inst.type_probs == 0):
+            continue
+        (new,) = _recorded(monkeypatch, approx, lambda: approx.solve_relaxation(inst))
+        _same_program(new, _rows_relaxation_lp(inst))
+
+
+def _reduced_forms():
+    """(tau, q, n): feasible and infeasible reduced forms, n = 1 included."""
+    rng = np.random.default_rng(11)
+    cases = []
+    for n, m in ((1, 3), (2, 2), (2, 3), (3, 2), (3, 3), (4, 3)):
+        for _ in range(3):
+            cases.append((rng.uniform(0.0, 1.0, m), fixtures.random_simplex(rng, m), n))
+    return cases
+
+
+def test_transport_lp_matches_row_builder(monkeypatch):
+    decomposed = 0
+    for tau, q, n in _reduced_forms():
+        (new,) = _recorded(monkeypatch, verify,
+                           lambda: verify.allocation_exists_bruteforce(tau, q, n))
+        _same_program(new, _rows_transport_lp(tau, q, n, 4096))
+        if border_feasible(tau, q, n).feasible and np.ptp(tau) > 1e-12:
+            (new,) = _recorded(monkeypatch, iid,
+                               lambda: iid.decompose_reduced_form(tau, q, n))
+            _same_program(new, _rows_transport_lp(tau, q, n, iid.PROFILE_CAP))
+            decomposed += 1
+    assert decomposed > 0
+
+
+def test_realizability_lp_matches_row_builder(monkeypatch):
+    rng = np.random.default_rng(13)
+    for n, m in ((1, 2), (2, 2), (2, 3), (3, 2)):
+        inst = fixtures.random_iid(rng, actions=n, types=m)
+        S = m ** n
+        phi = rng.random((S, n))
+        phi /= phi.sum(axis=1, keepdims=True)
+        sig = iid.signature_of(inst, DirectScheme(phi))
+        (new,) = _recorded(monkeypatch, verify,
+                           lambda: verify.realizability_check(sig, inst))
+        _same_program(new, _rows_realizability_lp(sig, inst))
+
+
+def test_envelope_lp_matches_row_builder(monkeypatch):
+    rng = np.random.default_rng(17)
+    for inst in (fixtures.three_action_base(), fixtures.random_explicit(rng, 3, 3),
+                 fixtures.random_explicit(rng, 3, 1)):
+        (new,) = _recorded(monkeypatch, verify,
+                           lambda: verify.concavification_value(inst, 16))
+        _same_program(new, _rows_envelope_lp(inst, 16))
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_khintchine_lp_matches_row_builder(monkeypatch, n):
+    a = np.random.default_rng(n).uniform(-1, 1, n)
+    a[0] = -0.0  # 0.0 - (-0.0) and 0.0 + (-0.0) are both +0.0
+    (new,) = _recorded(monkeypatch, khintchine, lambda: khintchine.solve_khintchine_lp(a))
+    _same_program(new, _rows_khintchine_lp(a))
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_membership_lp_matches_row_builder(monkeypatch, n):
+    x = np.random.default_rng(n).uniform(0.0, 0.5, (n, 2))
+    x[:, 1] = 0.5 - x[:, 0]
+    sig = TwoSignalSignature(x, 0.5 - x)
+    (new,) = _recorded(monkeypatch, khintchine, lambda: khintchine.membership_check(sig))
+    _same_program(new, _rows_membership_lp(sig))
+
+
+# ---------------------------------------------------------------------------
+# the constructor
+
+
+def _matrix_lp(**changes):
+    args = dict(A=np.array([[1.0, 2.0], [3.0, 1.0]]), relations=["<=", ">="],
+                b=np.array([4.0, 1.0]))
+    args.update(changes)
+    return LinearProgram([1.0, 1.0], **args)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_matrix_is_rejected(bad):
+    with pytest.raises(ValidationError, match="constraint 1: coefficients"):
+        _matrix_lp(A=np.array([[1.0, 2.0], [3.0, bad]]))
+    with pytest.raises(ValidationError, match="constraint 0: rhs"):
+        _matrix_lp(b=np.array([bad, 1.0]))
+
+
+@pytest.mark.parametrize("changes", [
+    dict(A=np.ones((2, 3))), dict(A=np.ones(2)), dict(A=np.ones((3, 2))),
+    dict(b=np.ones(3)), dict(b=np.ones((2, 1))), dict(relations=["<="]),
+    dict(relations=["<=", "<=", "<="]),
+])
+def test_wrong_shape_is_rejected(changes):
+    with pytest.raises(ValidationError):
+        _matrix_lp(**changes)
+
+
+@pytest.mark.parametrize("bad", ["=<", "", "<<", "==", "le", "<=x", None])
+def test_unknown_relation_is_rejected(bad):
+    with pytest.raises(ValidationError, match="constraint 1: unknown relation"):
+        _matrix_lp(relations=["<=", bad])
+    with pytest.raises(ValidationError, match="constraint 0: unknown relation"):
+        LinearProgram([1.0], [([1.0], bad, 1.0)])
+
+
+def test_rows_and_matrix_are_not_mixed():
+    with pytest.raises(ValidationError):
+        LinearProgram([1.0], [([1.0], "<=", 1.0)], A=np.ones((1, 1)),
+                      relations=["<="], b=[1.0])
+    with pytest.raises(ValidationError):
+        LinearProgram([1.0], relations=["<="], b=[1.0])
+
+
+def test_relations_and_zero_rows():
+    lp = _matrix_lp(relations=np.array(["<=", "="]))
+    assert lp.relations.tolist() == ["<=", "="] and lp.relations.dtype == "<U2"
+    empty = LinearProgram([1.0, 2.0])
+    assert empty.A.shape == (0, 2) and empty.b.shape == (0,)
+    assert len(empty.constraints) == 0
+
+
+def test_constraints_round_trip():
+    rng = np.random.default_rng(3)
+    rows = [(rng.uniform(-1, 1, 4), rel, float(rng.uniform(-1, 1)))
+            for rel in ("<=", "=", ">=", "=", "<=")]
+    lp = LinearProgram(rng.uniform(-1, 1, 4), rows)
+    assert len(lp.constraints) == 5
+    for con, (coeffs, rel, rhs) in zip(lp.constraints, rows):
+        assert con.coeffs.tobytes() == coeffs.tobytes()
+        assert con.relation == rel and con.rhs == rhs
+    assert lp.constraints[-1].coeffs.tobytes() == lp.constraints[4].coeffs.tobytes()
+    again = LinearProgram(lp.objective, lp.constraints)
+    _same_program(again, lp)
+    _same_program(LinearProgram(lp.objective, A=lp.A, relations=lp.relations, b=lp.b), lp)
+    with pytest.raises(ValueError):
+        lp.constraints[0].coeffs[0] = 1.0  # a read-only view of A
+
+
+def test_matrix_is_not_copied_and_caller_keeps_write_access():
+    A = np.ones((2, 2))
+    lp = LinearProgram([1.0, 1.0], A=A, relations=["<=", "<="], b=[1.0, 2.0])
+    assert np.shares_memory(lp.A, A) and not lp.A.flags.writeable
+    A[0, 0] = 2.0
+    assert A.flags.writeable
+
+
+def test_zero_shift_rhs_matches_per_row_products():
+    # -0.0 right-hand sides with negative coefficients: every per-row dot
+    # with the zero shift is +0.0, so the rhs is placed as it is
+    rng = np.random.default_rng(29)
+    A = -rng.random((6, 4))
+    b = np.array([-0.0, 0.0, -0.0, 1.0, -2.0, 0.5])
+    lp = LinearProgram(rng.uniform(-1, 1, 4), A=A, relations=["<="] * 6, b=b)
+    std = _Standardized(lp)
+    signs = np.where(b < 0, -1.0, 1.0)
+    expected = np.array([rhs - row @ np.zeros(4) for row, rhs in zip(A, b)]) * signs
+    assert std.b.tobytes() == expected.tobytes()
+    assert std.b.tobytes() == (b * signs).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the crash install on slice views against the copying install
+
+
+def _copying_crash(self, std, start):
+    """Reference install: fancy-index copies of both row blocks."""
+    named = np.full(self.m, -1)
+    named[: start.size] = start
+    R = (named >= 0).nonzero()[0]
+    O = (named < 0).nonzero()[0]
+    if np.any(self.slack_col[O] < 0):
+        return False
+    cols = std.plus[named[R]]
+    T = self.T
+    D = T[np.ix_(R, cols)]
+    diag = D.diagonal()
+    if np.count_nonzero(D) != R.size or not np.all(diag):
+        return False
+    C = T[np.ix_(O, cols)]
+    slack = T[O, self.slack_col[O]]
+    rhs = T[R, -1] / diag
+    rhs_other = (T[O, -1] - C @ rhs) / slack
+    if min(rhs.min(initial=0.0), rhs_other.min(initial=0.0)) < -1e-8:
+        return False
+    TR = T[R]
+    TR /= diag[:, None]
+    T[R] = TR
+    T[O] = (T[O] - C @ TR) / slack[:, None]
+    z2 = self.z2
+    z2 -= z2[cols] @ TR
+    z2[cols] = 0.0
+    self.basis[R] = cols
+    self.basis[O] = self.slack_col[O]
+    return True
+
+
+def _as_bytes(out):
+    def raw(a):
+        return None if a is None else np.asarray(a, dtype=float).tobytes()
+
+    return (out.status, raw(out.value), raw(out.point), raw(out.duals),
+            raw(out.certificate), out.pivots, out.start)
+
+
+def test_crash_on_views_is_bit_identical_to_copying_install(monkeypatch):
+    rng = np.random.default_rng(31)
+    programs = []
+    for eps in (0.0, 0.05):
+        for inst in _explicit_cases():
+            S, n = inst.state_count, inst.action_count
+            honest = np.arange(S) * n + inst.receiver_payoffs.argmax(axis=1)
+            start = np.concatenate([honest, np.full(n * (n - 1), -1)])
+            lp = exact.direct_scheme_lp(inst.state_probs, inst.sender_payoffs,
+                                        inst.receiver_payoffs, eps)
+            programs.append((lp, start))
+    # a non-unit diagonal and named rows that are not a prefix
+    A = rng.uniform(0.5, 2.0, (4, 4)) * np.eye(4)
+    A = np.vstack([A, rng.uniform(0, 1, (2, 4))])
+    lp = LinearProgram(rng.uniform(0, 1, 4), A=A, relations=["<="] * 6,
+                       b=np.repeat([3.0, 30.0], [4, 2]))
+    programs += [(lp, np.array([0, 1, 2, 3, -1, -1])),  # a prefix
+                 (lp, np.array([-1, 1, 2, 3, -1, -1]))]  # not a prefix
+    fast = [solve(lp, start=start) for lp, start in programs]
+    monkeypatch.setattr(_Tableau, "crash", _copying_crash)
+    slow = [solve(lp, start=start) for lp, start in programs]
+    assert all(out.start == "crash" for out in fast)
+    for k, (a, b) in enumerate(zip(fast, slow)):
+        assert _as_bytes(a) == _as_bytes(b), f"program {k} differs"
+
+
+# ---------------------------------------------------------------------------
+# empirical-LP bucketing
+
+
+def _unique_rows(rows):
+    uniq, inverse, counts = np.unique(rows, axis=0, return_inverse=True,
+                                      return_counts=True)
+    return uniq, inverse.ravel(), counts
+
+
+def _bucket_cases():
+    rng = np.random.default_rng(37)
+    oracle = blackbox.ExplicitOracle(fixtures.investor_blackbox_instance())
+    s, r = oracle.draw_batch(2000, rng)
+    return [
+        rng.uniform(-1, 1, (1, 6)),  # K = 1
+        np.tile(rng.uniform(-1, 1, 4), (300, 1)),  # a single distinct row
+        rng.integers(-1, 2, (3000, 6)).astype(float) / 2,  # heavy ties
+        np.hstack([s, r]),  # finite-support oracle draws
+        rng.uniform(-1, 1, (2000, 6)),  # continuous samples
+        np.round(rng.uniform(-1, 1, (2000, 4)), 1) + 0.0,  # ties, no -0.0
+    ]
+
+
+def test_bucketing_matches_np_unique():
+    for rows in _bucket_cases():
+        got, want = _bucket_rows(rows), _unique_rows(rows)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+
+
+def test_bucketing_merges_signed_zeros():
+    rows = np.array([[0.0, 1.0], [-0.0, 1.0], [0.5, -0.0], [0.5, 0.0]])
+    uniq, inverse, counts = _bucket_rows(rows)
+    assert uniq.shape == (2, 2) and inverse.tolist() == [0, 0, 1, 1]
+    assert counts.tolist() == [2, 2]
+
+
+# ---------------------------------------------------------------------------
+# the loops that also built program data, against their vectorized forms
+
+
+def _loop_expand_product(instance):
+    """Reference expansion: one profile at a time, p = 1.0 * q0 * q1 ..."""
+    if isinstance(instance, IIDInstance):
+        marginals = [Marginal(instance.type_probs, instance.sender_payoffs,
+                              instance.receiver_payoffs)] * instance.action_count
+    else:
+        marginals = list(instance.marginals)
+    sizes = [m.type_probs.size for m in marginals]
+    total, n = int(np.prod(sizes)), len(marginals)
+    probs, sender, receiver = np.empty(total), np.empty((total, n)), np.empty((total, n))
+    for t, profile in enumerate(itertools.product(*(range(k) for k in sizes))):
+        p = 1.0
+        for i, j in enumerate(profile):
+            p *= marginals[i].type_probs[j]
+            sender[t, i] = marginals[i].sender_payoffs[j]
+            receiver[t, i] = marginals[i].receiver_payoffs[j]
+        probs[t] = p
+    return probs, sender, receiver
+
+
+def test_expand_product_matches_profile_loop():
+    rng = np.random.default_rng(41)
+    cases = [fixtures.investor()] + [fixtures.random_iid(rng, actions=n, types=m)
+                                     for n in (1, 2, 5) for m in (1, 3)]
+    for _ in range(4):
+        sizes = rng.integers(1, 4, size=int(rng.integers(1, 4)))
+        cases.append(IndependentInstance([
+            Marginal(fixtures.random_simplex(rng, k), rng.uniform(-1, 1, k),
+                     rng.uniform(-1, 1, k)) for k in sizes]))
+    for inst in cases:
+        full = exact.expand_product(inst)
+        got = (full.state_probs, full.sender_payoffs, full.receiver_payoffs)
+        for a, b in zip(got, _loop_expand_product(inst)):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("resolution", [1, 2, 7, 16, 512])
+def test_simplex_grid_matches_nested_loops(resolution):
+    pts = [(i, j, resolution - i - j) for i in range(resolution + 1)
+           for j in range(resolution + 1 - i)]
+    expected = np.array(pts, dtype=float) / resolution
+    assert verify._simplex_grid(resolution).tobytes() == expected.tobytes()

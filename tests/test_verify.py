@@ -11,7 +11,8 @@ from persuasion.blackbox import BlackboxSampler, ExplicitOracle
 from persuasion.errors import InstanceTooLargeError, ValidationError
 from persuasion.exact import expand_product, solve_exact
 from persuasion.iid import Signature, signature_of, solve_s_signature, implement_s_signature
-from persuasion.model import DirectScheme, ExplicitInstance, IIDInstance, InverseCDF, best_response
+from persuasion.model import (DirectScheme, ExplicitInstance, IIDInstance, InverseCDF,
+                              best_response, best_response_many)
 from persuasion.verify import (
     DirectSchemeSampler,
     ExplicitSource,
@@ -419,3 +420,16 @@ def test_integral_float_recommendations_are_accepted():
     rep = monte_carlo_eval(_ConstantSampler(1.0), ExplicitSource(inst), 50,
                            np.random.default_rng(158))
     assert rep.signal_counts.tolist() == [0.0, 50.0]
+
+
+def test_information_samplers_recommend_the_prior_and_honest_actions():
+    rng = np.random.default_rng(43)
+    for n in (1, 2, 4):
+        inst = fixtures.random_explicit(rng, 12, n)
+        states = np.arange(12)
+        honest = best_response_many(inst.receiver_payoffs, inst.sender_payoffs)
+        assert np.array_equal(FullInformationSampler(inst).sample_many(states, rng), honest)
+        prior = best_response(inst.state_probs @ inst.receiver_payoffs,
+                              inst.state_probs @ inst.sender_payoffs)
+        assert NoInformationSampler(inst).sample(0, rng) == prior
+        assert np.all(NoInformationSampler(inst).sample_many(states, rng) == prior)
