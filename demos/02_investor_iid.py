@@ -8,9 +8,10 @@ when there is one.
 
 Route A solves the exponential-size direct LP on the 9-state expansion.
 Route B stays polynomial: optimize the per-type mass pair (x, y) subject
-to the subset (win-probability) inequalities, then turn the induced
-allocation rule back into a signal sampler. Both land on 5/9, and the
-sampler's simulated utility agrees.
+to the subset (win-probability) inequalities, then write the induced
+win probabilities as a lottery over priority orders of the types and
+sample from it. Both land on 5/9, and the sampler's simulated utility
+agrees.
 """
 
 import numpy as np
@@ -22,7 +23,6 @@ from persuasion import (
     implement_s_signature,
     load_corpus,
     monte_carlo_eval,
-    reduced_form_of,
     solve_exact,
     solve_s_signature,
     symmetrize,
@@ -43,8 +43,11 @@ tau = ssig.recommended / instance.type_probs
 print(f"  induced win probabilities: {np.round(tau, 5)}")
 
 sampler = implement_s_signature(instance, ssig)
-print(f"  allocation rule win probs (per bidder):\n"
-      f"{np.round(reduced_form_of(sampler.rule, instance.type_probs), 5)}")
+mixture = sampler.mixture
+for weight, order in zip(mixture.weights, mixture.orders):
+    print(f"  priority order {order[:-1]} with probability {weight:.5f}")
+print(f"  its win probabilities: "
+      f"{np.round(mixture.win_masses(instance.type_probs, 2) / (2 * instance.type_probs), 5)}")
 
 rng = np.random.default_rng(7)
 report = monte_carlo_eval(sampler, IIDSource(instance), 200_000, rng)

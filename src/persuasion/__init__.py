@@ -40,12 +40,14 @@ from .exact import (
 from .iid import (
     AllocationRule,
     BorderCheck,
+    PriorityMixture,
     ReducedForm,
     Signature,
     SSignature,
     border_feasible,
     decompose_reduced_form,
     implement_s_signature,
+    priority_decomposition,
     reduced_form_of,
     s_signature_of,
     scheme_from_allocation,

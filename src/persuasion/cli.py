@@ -248,6 +248,15 @@ def _bench_independent_eval() -> float:
     return report.mean_sender_utility
 
 
+def _bench_iid_implement() -> float:
+    base = fixtures.investor()
+    inst = IIDInstance(100, base.type_probs, base.sender_payoffs, base.receiver_payoffs)
+    ssig, _ = solve_s_signature(inst)
+    report = monte_carlo_eval(implement_s_signature(inst, ssig), IIDSource(inst),
+                              10_000, np.random.default_rng(100))
+    return report.mean_sender_utility
+
+
 def _cmd_bench(args) -> int:
     jobs = [
         ("prosecutor exact", lambda: solve_exact(fixtures.prosecutor()).value),
@@ -261,6 +270,7 @@ def _cmd_bench(args) -> int:
         ("khintchine lp n=6",
          lambda: solve_khintchine_lp(np.linspace(1.0, 2.0, 6))),
         ("iid independent monte-carlo T=250000", _bench_independent_eval),
+        ("iid implement + monte-carlo n=100", _bench_iid_implement),
     ]
     for name, job in jobs:
         t0 = time.perf_counter()

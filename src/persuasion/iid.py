@@ -10,11 +10,17 @@ inequalities checked by border_feasible.
 
 solve_s_signature optimizes over (x, y) directly, generating the binding
 subset inequalities on demand: it solves, asks border_feasible for a
-violated prefix set, adds that cut, and repeats. decompose_reduced_form
-recovers an explicit allocation rule at desk scale by solving a
-transportation-style LP over all type profiles, and
-scheme_from_allocation converts a rule back into a signal sampler by
-permutation symmetrization.
+violated prefix set, adds that cut, and repeats; it raises rather than
+return an x the certificate rejects. implement_s_signature turns a
+certified x into a signal sampler in time polynomial in m:
+priority_decomposition writes tau as a lottery over at most m + 1
+priority orders of the types (greedy vertices of the Border polytope),
+and AllocationSchemeSampler draws an order per trial and recommends a
+uniformly random action holding the highest-priority type present.
+
+At desk scale, decompose_reduced_form solves a transportation-style LP
+over all m^n type profiles for an explicit AllocationRule, and
+reduced_form_of evaluates a rule exhaustively; both serve as oracles.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ from .errors import (
     ValidationError,
 )
 from .lp import LinearProgram, solve
-from .model import DirectScheme, IIDInstance
+from .model import DirectScheme, IIDInstance, InverseCDF
 
 S_SIG_TOL = 1e-9
 BORDER_TOL = 1e-9
@@ -160,8 +166,11 @@ class AllocationRule:
 
 @dataclass(frozen=True)
 class BorderCheck:
+    """Outcome of border_feasible; gap is the largest prefix gap found."""
+
     feasible: bool
     violating_set: Optional[Tuple[int, ...]] = None
+    gap: float = 0.0
 
 
 def _profile_index(profiles: np.ndarray, m: int) -> np.ndarray:
@@ -191,16 +200,19 @@ def border_feasible(tau, q, n: int) -> BorderCheck:
     q = np.asarray(q, dtype=float)
     if tau.shape != q.shape:
         raise ValidationError("tau and q must have the same length")
-    if np.any(q <= 0):
-        raise ValidationError("type probabilities must be strictly positive")
+    if not np.all(np.isfinite(tau)):
+        raise ValidationError("win probabilities must be finite")
+    if not np.all(np.isfinite(q) & (q > 0)):
+        raise ValidationError("type probabilities must be finite and strictly positive")
     order = np.lexsort((np.arange(tau.size), -tau))
     lhs = n * np.cumsum(q[order] * tau[order])
     rhs = 1.0 - (1.0 - np.cumsum(q[order])) ** n
     gaps = lhs - rhs
     worst = int(np.argmax(gaps))
-    if gaps[worst] > BORDER_TOL:
-        return BorderCheck(False, tuple(sorted(int(j) for j in order[: worst + 1])))
-    return BorderCheck(True, None)
+    gap = float(gaps[worst])
+    if gap > BORDER_TOL:
+        return BorderCheck(False, tuple(sorted(int(j) for j in order[: worst + 1])), gap)
+    return BorderCheck(True, None, gap)
 
 
 def _drop_zero_types(instance: IIDInstance):
@@ -220,7 +232,9 @@ def solve_s_signature(instance: IIDInstance) -> Tuple[SSignature, float]:
     """Optimal realizable s-signature and its sender value.
 
     Types with zero prior probability are dropped before solving and
-    reinstated as zeros in the returned vectors.
+    reinstated as zeros in the returned vectors. The returned x always
+    passes border_feasible: when the LP's point violates a Border cut it
+    already holds, this raises SolverError naming the set and its gap.
     """
     work, keep = _drop_zero_types(instance)
     n, m = work.action_count, work.type_count
@@ -243,8 +257,13 @@ def solve_s_signature(instance: IIDInstance) -> Tuple[SSignature, float]:
             raise SolverError(f"s-signature LP ended with status {out.status}")
         x = np.clip(out.point[:m], 0.0, None)
         check = border_feasible(x / q, q, n)
-        if check.feasible or check.violating_set in cuts:
+        if check.feasible:
             break
+        if check.violating_set in cuts:
+            named = tuple(int(keep[j]) for j in check.violating_set)
+            raise SolverError(
+                f"s-signature LP point breaks its own Border cut on type set "
+                f"{named}: gap {check.gap:.3e} exceeds {BORDER_TOL:g}")
         cuts.append(check.violating_set)
         A = np.vstack([A, np.isin(np.arange(2 * m), cuts[-1]) * float(n)])
         relations = relations + ["<="]
@@ -328,32 +347,198 @@ def reduced_form_of(rule: AllocationRule, q: np.ndarray) -> np.ndarray:
     return out
 
 
+@dataclass(frozen=True)
+class PriorityMixture:
+    """Lottery over priority orders of the types.
+
+    Each row of orders lists the m types and the symbol m, "keep the
+    item", from highest to lowest priority. Rule k gives the item to a
+    uniformly random bidder among those holding the highest-priority
+    type present in the profile, and keeps it when no type ranked above
+    the symbol m is present. weights[k] is the chance of rule k.
+    """
+
+    weights: np.ndarray
+    orders: np.ndarray
+
+    def __init__(self, weights, orders):
+        w = np.array(weights, dtype=float)
+        P = np.array(orders, dtype=int)
+        if w.ndim != 1 or w.size == 0 or P.ndim != 2 or P.shape[0] != w.size:
+            raise ValidationError("need one priority order per weight")
+        if np.any(np.sort(P, axis=1) != np.arange(P.shape[1])):
+            raise ValidationError("each order must list every type and m exactly once")
+        if np.any(w < 0) or abs(w.sum() - 1.0) > S_SIG_TOL:
+            raise ValidationError("priority weights must be a distribution")
+        w.setflags(write=False)
+        P.setflags(write=False)
+        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "orders", P)
+
+    def win_masses(self, q, n: int) -> np.ndarray:
+        """Per-type chance that a bidder of that type gets the item.
+
+        This is n * q * tau for the mixture's reduced form tau.
+        """
+        q_ext = np.append(np.asarray(q, dtype=float), 0.0)
+        masses = [_priority_masses(order, q_ext, n) for order in self.orders]
+        return (self.weights @ np.array(masses))[:-1]
+
+
+def _tails(order, q_ext, n: int) -> np.ndarray:
+    """tails[p]: chance that the rule reaches position p of order.
+
+    That is (1 - Q_p)^n, Q_p the prior mass of order[:p], summed from the
+    tail of the order so that small values keep their relative
+    precision; it is exactly 1 at p = 0 (the item is always on offer,
+    whatever rounding q carries) and 0 past the "keep" symbol.
+    """
+    tails = np.append(np.cumsum(q_ext[order][::-1])[::-1] ** n, 0.0)
+    tails[0] = 1.0
+    tails[np.flatnonzero(order == q_ext.size - 1)[0] + 1:] = 0.0
+    return tails
+
+
+def _priority_masses(order, q_ext, n: int) -> np.ndarray:
+    tails = _tails(order, q_ext, n)
+    out = np.empty(order.size)
+    out[order] = tails[:-1] - tails[1:]
+    return out
+
+
+def priority_decomposition(tau, q, n: int) -> PriorityMixture:
+    """Priority-order mixture whose reduced form is tau, in time poly(m).
+
+    With z = n * q * tau, the realizable reduced forms are the points of
+    the polymatroid z(A) <= 1 - (1 - q(A))^n. A "keep the item" symbol
+    with prior mass 0 and share 1 - z(E) makes them its bases and each
+    priority order a greedy vertex. Every step orders the symbols by
+    residual tau (descending, ties by index, "keep" counted as 0) inside
+    the blocks of a chain of tight sets, takes that vertex v, and removes
+    as much of v as keeps the residual in the scaled polytope; the set
+    that stops it joins the chain, so at most m + 1 steps run. For an s-signature (z(E) within n * S_SIG_TOL of 1)
+    E starts in the chain: "keep" is last in every order and the item is
+    always allocated.
+
+    The step is the least ratio N(A) / D(A) of the residual's slack to
+    the vertex's over the sets A that split one block, found by
+    Dinkelbach iterations on border_feasible's prefix oracle. Slacks are
+    taken on the complement, z(E - A) - (1 - q(A))^n with 1 - q(A)
+    summed from the tail, which keeps their precision when 1 - q(A) is
+    small. A set already in violation (border_feasible passes gaps up to
+    BORDER_TOL) gives step 0 and joins the chain, so the search never
+    stalls and such a gap is carried, not amplified.
+    """
+    tau = np.asarray(tau.win_probs if isinstance(tau, ReducedForm) else tau,
+                     dtype=float)
+    q = np.asarray(q, dtype=float)
+    check = border_feasible(tau, q, n)
+    if not check.feasible:
+        raise InfeasibleReducedFormError(check.violating_set)
+    m = q.size
+    q_ext = np.append(q, 0.0)
+    resid = np.append(n * q * tau, 0.0)
+    resid[m] = 1.0 - resid.sum()
+    block = np.zeros(m + 1, dtype=int)
+    block[m] = resid[m] <= n * S_SIG_TOL
+    mass = 1.0
+    weights, orders = [], []
+    while True:  # each pass ends or splits a block, so at most m + 1 run
+        order = np.lexsort((-_residual_tau(resid, q_ext), block))
+        v = _priority_masses(order, q_ext, n)
+        step, binding = _step_length(resid, v, q_ext, n, mass, block)
+        if step > 8 * np.finfo(float).eps:  # smaller steps are rounding
+            weights.append(step)
+            orders.append(order)
+        if binding is None:
+            break
+        resid = resid - step * v
+        mass -= step
+        block = np.unique(2 * block + ~binding, return_inverse=True)[1]
+    weights = np.array(weights)
+    return PriorityMixture(weights / weights.sum(), orders)
+
+
+def _residual_tau(resid, q_ext):
+    """resid / q per type; 0 for "keep", so it sorts behind positive residuals."""
+    out = np.zeros(resid.size)
+    np.divide(resid[:-1], q_ext[:-1], out=out[:-1])
+    return out
+
+
+def _step_length(resid, v, q_ext, n, mass, block):
+    """Largest t with resid - t*v in (mass - t) times the chain's face.
+
+    Returns t and the binding set as a mask, or None when t = mass (the
+    residual is mass * v). Dinkelbach: at trial t the set maximizing
+    t*D - N is a prefix, inside one block, of the order of
+    (resid - t*v) / q; while that excess is positive, t becomes its N/D.
+    """
+    t, binding = mass, None
+    while True:  # t falls strictly through finitely many ratios
+        sigma = np.lexsort((-_residual_tau(resid - t * v, q_ext), block))
+        tails = _tails(sigma, q_ext, n)[:-1]
+        slack_r = np.cumsum(resid[sigma][::-1])[::-1] - mass * tails
+        slack_v = np.cumsum(v[sigma][::-1])[::-1] - tails
+        # candidate p splits its block before position p
+        b = block[sigma]
+        cand = np.flatnonzero(b[1:] == b[:-1]) + 1
+        N, D = slack_r[cand], slack_v[cand]
+        excess = np.where(D > 0, t * D - N, 0.0)
+        if excess.size == 0 or excess.max() <= 0.0:
+            break
+        k = int(np.argmax(excess))
+        ratio = max(N[k], 0.0) / D[k]
+        if ratio >= t:
+            break
+        t = ratio
+        binding = np.zeros(resid.size, dtype=bool)
+        binding[sigma[:cand[k]]] = True
+        if t == 0.0:
+            break
+    return t, binding
+
+
 class AllocationSchemeSampler:
     """Signal sampler implementing a realizable s-signature.
 
-    Recommends the bidder picked by the allocation rule on a uniformly
-    permuted copy of the type profile, which makes the induced scheme
+    Draws one priority rule of the mixture per trial, finds the
+    highest-priority type present in the profile, and recommends a
+    uniformly random action holding that type. The induced scheme is
     symmetric: every signal fires with probability 1/n and the
-    recommended action's posterior type mass is n * recommended.
+    recommended action's posterior type mass is n * recommended. Per
+    batch of T profiles it consumes T uniforms for the rules, then T
+    uniforms for the choice among the actions holding the winning type,
+    and builds no permutation and no m^n table. The constructor rejects a mixture whose reduced
+    form is more than REDUCED_FORM_MATCH_TOL from the s-signature's.
     Not thread-safe; clone with independent seeds instead of sharing.
     """
 
-    def __init__(self, instance: IIDInstance, ssig: SSignature, rule: AllocationRule):
-        if np.any(instance.type_probs <= 0):
-            raise ValidationError("drop zero-probability types before sampling")
-        n, m = instance.action_count, instance.type_count
-        if rule.bidder_count != n or rule.profiles.max() >= m:
-            raise ValidationError("allocation rule does not match the instance")
-        tau_target = ssig.recommended / instance.type_probs
-        got = reduced_form_of(rule, instance.type_probs)
-        if np.max(np.abs(got - tau_target[None, :])) > REDUCED_FORM_MATCH_TOL:
+    def __init__(self, instance: IIDInstance, ssig: SSignature, mixture: PriorityMixture):
+        q = instance.type_probs
+        m = instance.type_count
+        if mixture.orders.shape[1] != m + 1 or ssig.recommended.size != m:
+            raise ValidationError("priority mixture does not match the instance")
+        if np.any(mixture.orders[:, -1] != m):
+            raise ValidationError("an s-signature sampler must always allocate")
+        live = q > 0
+        got = mixture.win_masses(q, instance.action_count)[live]
+        want = instance.action_count * ssig.recommended[live]
+        if np.max(np.abs(got - want) / (instance.action_count * q[live])) \
+                > REDUCED_FORM_MATCH_TOL:
             raise ValidationError(
-                "allocation rule's reduced form does not match the s-signature"
+                "priority mixture's reduced form does not match the s-signature"
             )
         self.instance = instance
         self.ssig = ssig
-        self.rule = rule
-        self._cum = np.cumsum(rule.probs, axis=1)
+        self.mixture = mixture
+        # rank[k*m + j]: position of type j in order k; zero-probability
+        # types never occur in drawn profiles and are rejected if given
+        rank = np.empty_like(mixture.orders)
+        np.put_along_axis(rank, mixture.orders, np.arange(m + 1)[None, :], axis=1)
+        self._rank = rank[:, :m].ravel().astype(np.min_scalar_type(m))
+        self._rule_of = InverseCDF(mixture.weights)
+        self._absent = None if live.all() else ~live
 
     def sample(self, profile, rng: np.random.Generator) -> int:
         return int(self.sample_many(np.asarray(profile, dtype=int)[None, :], rng)[0])
@@ -361,55 +546,59 @@ class AllocationSchemeSampler:
     def sample_many(self, profiles: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         T, n = profiles.shape
         m = self.instance.type_count
-        perms = np.argsort(rng.random((T, n)), axis=1)
-        permuted = np.take_along_axis(profiles, perms, axis=1)
-        rows = self._cum[_profile_index(permuted, m)]
-        draws = rng.random((T, 1))
-        picked = np.minimum((rows <= draws).sum(axis=1), n)
-        none = picked >= n
-        if none.any():
-            picked[none] = rng.integers(0, n, size=int(none.sum()))
-        # the rule allocated in permuted coordinates; map back
-        return np.take_along_axis(perms, picked[:, None], axis=1)[:, 0]
+        if self._absent is not None and self._absent[profiles].any():
+            raise ValidationError("profile contains a zero-probability type")
+        rule = self._rule_of(rng.random(T))
+        # (action, trial) layout: reductions over actions run along rows
+        ranks = np.take(self._rank, np.add(profiles.T, rule * m, order="C"))
+        holders = ranks == ranks.min(axis=0)
+        # recommend the skip-th holder in action order, skip uniform
+        skip = (rng.random(T) * holders.sum(axis=0)).astype(np.intp)
+        out = np.empty(T, dtype=np.intp)
+        for j in range(n):
+            np.copyto(out, j, where=holders[j] & (skip == 0))
+            skip -= holders[j]
+        return out
 
 
 def scheme_from_allocation(instance: IIDInstance, ssig: SSignature,
                            rule: AllocationRule) -> AllocationSchemeSampler:
-    """Sampler mapping type profiles to signals with s-signature (x, y)."""
-    return AllocationSchemeSampler(instance, ssig, rule)
+    """Sampler with s-signature (x, y), after checking an explicit rule.
 
-
-def implement_s_signature(instance: IIDInstance, ssig: SSignature,
-                          cap: int = PROFILE_CAP) -> AllocationSchemeSampler:
-    """Decompose the induced reduced form and wrap it as a signal sampler."""
+    The rule's exhaustive reduced form must match x / q within
+    REDUCED_FORM_MATCH_TOL; the sampler itself is implement_s_signature's
+    priority sampler, which realizes the same reduced form.
+    """
     work, keep = _drop_zero_types(instance)
-    x = ssig.recommended[keep]
-    y = ssig.other[keep]
-    tau = x / work.type_probs
-    rule = decompose_reduced_form(tau, work.type_probs, work.action_count, cap)
-    inner = AllocationSchemeSampler(work, SSignature(x, y, work.action_count), rule)
-    if keep.size == instance.type_count:
-        return inner
-    return _RelabeledSampler(inner, keep, instance.type_count)
+    if rule.bidder_count != work.action_count or rule.profiles.max() >= work.type_count:
+        raise ValidationError("allocation rule does not match the instance")
+    got = reduced_form_of(rule, work.type_probs)
+    if np.max(np.abs(got - ssig.recommended[keep] / work.type_probs)) \
+            > REDUCED_FORM_MATCH_TOL:
+        raise ValidationError(
+            "allocation rule's reduced form does not match the s-signature"
+        )
+    return implement_s_signature(instance, ssig)
 
 
-class _RelabeledSampler:
-    """Adapter translating original type indices to the zero-trimmed ones."""
+def implement_s_signature(instance: IIDInstance,
+                          ssig: SSignature) -> AllocationSchemeSampler:
+    """Signal sampler realizing a certified s-signature, in O(poly(m)) set-up.
 
-    def __init__(self, inner: AllocationSchemeSampler, keep: np.ndarray, m: int):
-        self.inner = inner
-        remap = np.full(m, -1, dtype=int)
-        remap[keep] = np.arange(keep.size)
-        self.remap = remap
-
-    def sample(self, profile, rng: np.random.Generator) -> int:
-        return int(self.sample_many(np.asarray(profile, dtype=int)[None, :], rng)[0])
-
-    def sample_many(self, profiles: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        mapped = self.remap[profiles]
-        if np.any(mapped < 0):
-            raise ValidationError("profile contains a zero-probability type")
-        return self.inner.sample_many(mapped, rng)
+    Decomposes tau = x / q over the positive-probability types into at
+    most m priority rules (priority_decomposition) and wraps them as an
+    AllocationSchemeSampler; zero-probability types come last in every
+    order. Raises InfeasibleReducedFormError when tau fails the Border
+    certificate, and ValidationError when the mixture's reduced form
+    misses tau by more than REDUCED_FORM_MATCH_TOL.
+    """
+    work, keep = _drop_zero_types(instance)
+    tau = ssig.recommended[keep] / work.type_probs
+    inner = priority_decomposition(tau, work.type_probs, work.action_count)
+    m = instance.type_count
+    tail = np.append(np.setdiff1d(np.arange(m), keep), m)
+    orders = np.hstack([keep[inner.orders[:, :-1]], np.tile(tail, (inner.weights.size, 1))])
+    return AllocationSchemeSampler(instance, ssig, PriorityMixture(inner.weights, orders))
 
 
 def signature_of(instance: IIDInstance, scheme: DirectScheme) -> Signature:
