@@ -19,8 +19,9 @@ from typing import Tuple
 import numpy as np
 
 from .errors import SolverError, ValidationError
+from .iid import s_signature_program
 from .lp import LinearProgram, solve
-from .model import IIDInstance
+from .model import IIDInstance, _require_finite
 
 HIGH = True
 LOW = False
@@ -47,23 +48,17 @@ class ComponentSignalVector:
 def solve_relaxation(instance: IIDInstance) -> Tuple[np.ndarray, np.ndarray, float]:
     """Optimal (x, y) of the s-signature program without realizability.
 
+    This is solve_s_signature's program with no Border cut, over every
+    type (zero-probability ones included), so x and y have full length.
     The value n * xi . x is an upper bound on the optimal sender utility;
     the gap to the true optimum is exactly what dropping the allocation
     feasibility constraints buys.
     """
-    n, m = instance.action_count, instance.type_count
-    q, xi, rho = instance.type_probs, instance.sender_payoffs, instance.receiver_payoffs
-    # rows: sum x = 1/n, x_j + (n-1) y_j = q_j, rho.(x - y) >= 0, and for
-    # n = 1 also sum y = 1
-    eye = np.eye(m)
-    ones_y = np.concatenate([np.zeros(m), np.ones(m)])
-    A = np.vstack([np.concatenate([np.ones(m), np.zeros(m)]),
-                   np.hstack([eye, (n - 1.0) * eye]),
-                   np.concatenate([rho, -rho])] + [ones_y] * (n == 1))
-    relations = ["="] * (m + 1) + [">="] + ["="] * (n == 1)
-    b = np.concatenate([[1.0 / n], q, [0.0], [1.0] * (n == 1)])
-    out = solve(LinearProgram(np.concatenate([n * xi, np.zeros(m)]),
-                              A=A, relations=relations, b=b))
+    m = instance.type_count
+    objective, A, relations, b = s_signature_program(
+        instance.action_count, instance.type_probs, instance.sender_payoffs,
+        instance.receiver_payoffs)
+    out = solve(LinearProgram(objective, A=A, relations=relations, b=b))
     if out.status != "optimal":
         raise SolverError(f"relaxation LP ended with status {out.status}")
     x = np.clip(out.point[:m], 0.0, None)
@@ -108,6 +103,7 @@ class IndependentSignalSampler:
             x, y, _ = solve_relaxation(instance)
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
+        _require_finite(x=x, y=y)
         q = instance.type_probs
         if np.any(x > q + _X_VS_Q_TOL):
             raise ValidationError("x exceeds the type prior; y would be negative")

@@ -39,7 +39,7 @@ from .errors import (
     ValidationError,
 )
 from .lp import LinearProgram, solve
-from .model import DirectScheme, IIDInstance, InverseCDF
+from .model import DirectScheme, IIDInstance, InverseCDF, _require_finite
 
 S_SIG_TOL = 1e-9
 BORDER_TOL = 1e-9
@@ -68,6 +68,7 @@ class SSignature:
         n = int(action_count)
         if x.shape != y.shape or x.ndim != 1:
             raise ValidationError("s-signature vectors must share one shape")
+        _require_finite(recommended=x, other=y)
         if np.any(x < -S_SIG_TOL) or np.any(y < -S_SIG_TOL):
             raise ValidationError("s-signature vectors must be nonnegative")
         if abs(x.sum() - 1.0 / n) > S_SIG_TOL or abs(y.sum() - 1.0 / n) > S_SIG_TOL:
@@ -94,6 +95,7 @@ class ReducedForm:
         tau = np.array(win_probs, dtype=float)
         if tau.ndim != 1 or tau.size == 0:
             raise ValidationError("reduced form must be a nonempty vector")
+        _require_finite(win_probs=tau)
         if np.any(tau < -S_SIG_TOL) or np.any(tau > 1.0 + S_SIG_TOL):
             raise ValidationError("win probabilities must lie in [0, 1]")
         tau.setflags(write=False)
@@ -110,6 +112,7 @@ class Signature:
         M = np.array(matrices, dtype=float)
         if M.ndim != 3 or M.shape[0] != M.shape[1]:
             raise ValidationError("signature must be n matrices of shape (n, m)")
+        _require_finite(matrices=M)
         row_sums = M.sum(axis=2)
         if np.max(np.abs(row_sums - row_sums[:, :1])) > S_SIG_TOL:
             raise ValidationError("each signal's rows must share one total mass")
@@ -145,6 +148,7 @@ class AllocationRule:
             raise ValidationError("profiles and probs must have matching rows")
         if A.shape[1] != P.shape[1] + 1:
             raise ValidationError("probs rows need one entry per bidder plus none")
+        _require_finite(probs=A)
         if np.any(A < -S_SIG_TOL):
             raise ValidationError("allocation probabilities must be nonnegative")
         if np.max(np.abs(A.sum(axis=1) - 1.0)) > S_SIG_TOL:
@@ -228,6 +232,22 @@ def _drop_zero_types(instance: IIDInstance):
     return kept, keep
 
 
+def s_signature_program(n: int, q, xi, rho):
+    """(objective, A, relations, b) of the s-signature LP without Border cuts.
+
+    Variables are (x, y), 2m of them. Rows: sum x = 1/n, sum y = 1/n,
+    x_j + (n-1) y_j = q_j and rho.(x - y) >= 0; the objective is n xi.x.
+    """
+    m = q.size
+    eye = np.eye(m)
+    A = np.vstack([np.kron(np.eye(2), np.ones(m)),
+                   np.hstack([eye, (n - 1.0) * eye]),
+                   np.concatenate([rho, -rho])])
+    relations = ["="] * (m + 2) + [">="]
+    b = np.concatenate([[1.0 / n, 1.0 / n], q, [0.0]])
+    return np.concatenate([n * xi, np.zeros(m)]), A, relations, b
+
+
 def solve_s_signature(instance: IIDInstance) -> Tuple[SSignature, float]:
     """Optimal realizable s-signature and its sender value.
 
@@ -237,18 +257,11 @@ def solve_s_signature(instance: IIDInstance) -> Tuple[SSignature, float]:
     already holds, this raises SolverError naming the set and its gap.
     """
     work, keep = _drop_zero_types(instance)
-    n, m = work.action_count, work.type_count
-    q, xi, rho = work.type_probs, work.sender_payoffs, work.receiver_payoffs
-
-    # rows: sum x = 1/n, sum y = 1/n, x_j + (n-1) y_j = q_j, rho.(x - y) >= 0,
-    # then one Border cut n * x(A) <= 1 - (1 - q(A))^n per violated set A
-    eye = np.eye(m)
-    A = np.vstack([np.kron(np.eye(2), np.ones(m)),
-                   np.hstack([eye, (n - 1.0) * eye]),
-                   np.concatenate([rho, -rho])])
-    relations = ["="] * (m + 2) + [">="]
-    b = np.concatenate([[1.0 / n, 1.0 / n], q, [0.0]])
-    objective = np.concatenate([n * xi, np.zeros(m)])
+    n, m, q = work.action_count, work.type_count, work.type_probs
+    # the base program, then one Border cut n * x(A) <= 1 - (1 - q(A))^n
+    # per violated set A
+    objective, A, relations, b = s_signature_program(
+        n, q, work.sender_payoffs, work.receiver_payoffs)
 
     cuts: list[tuple[int, ...]] = []
     while True:
@@ -366,6 +379,7 @@ class PriorityMixture:
         P = np.array(orders, dtype=int)
         if w.ndim != 1 or w.size == 0 or P.ndim != 2 or P.shape[0] != w.size:
             raise ValidationError("need one priority order per weight")
+        _require_finite(weights=w)
         if np.any(np.sort(P, axis=1) != np.arange(P.shape[1])):
             raise ValidationError("each order must list every type and m exactly once")
         if np.any(w < 0) or abs(w.sum() - 1.0) > S_SIG_TOL:

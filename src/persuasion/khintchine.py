@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import InstanceTooLargeError, SolverError, ValidationError
 from .lp import LinearProgram, solve
+from .model import _require_finite
 
 BRUTE_CAP = 20
 LP_CAP = 12
@@ -41,6 +42,7 @@ class TwoSignalSignature:
         m = np.array(minus, dtype=float)
         if p.ndim != 2 or p.shape[1] != 2 or p.shape != m.shape:
             raise ValidationError("signature matrices must both be (n, 2)")
+        _require_finite(plus=p, minus=m)
         if np.any(p < -SIG_TOL) or np.any(m < -SIG_TOL):
             raise ValidationError("signature entries must be nonnegative")
         if np.max(np.abs(p + m - 0.5)) > SIG_TOL:

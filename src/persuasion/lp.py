@@ -12,50 +12,47 @@ number of rows with a nonzero entry in the pivot column: the rank-1 update
 leaves all other rows alone, since it would only subtract exact zeros there.
 Tableau rows of the direct-scheme programs stay sparse: on 81-300 state
 priors a pivot touches about one row in seven on average. The phase-1 objective row
-is priced only until phase 1 ends. Standardization maps variables to
-tableau columns through index arrays built once per program.
+is priced only until phase 1 ends.
 
-A program is held in matrix form (A, relations, b), which the builders
-assemble with numpy and the constructor checks in one vectorized pass;
-row input is stacked once (see LinearProgram). Standardization copies A
-into place and the returned point is checked with one A @ x.
+A program is held in matrix form (A, relations, b) over variables x >= 0,
+which the builders assemble with numpy and the constructor checks in one
+vectorized pass; row input is stacked once (see LinearProgram). The
+tableau copies A into place, negating the rows whose rhs is negative, and
+the returned point is checked with one A @ x.
 
 The tableau has no artificial columns. Artificial variables exist only as
 basis labels: phase 1 prices and the drive-out step reads only the
 structural and slack columns, and duals and Farkas vectors are recovered
-from the labels and the standardized matrix. On a 300-state, 3-action
+from the labels, A and the row signs. On a 300-state, 3-action
 direct-scheme program that makes each row about a quarter narrower.
 
 A start basis can skip phase 1. ``solve(lp, start=...)`` takes one entry
-per constraint: an original-variable index that becomes basic in that row,
-or -1 to keep the row's slack or surplus basic (upper-bound rows always
-keep theirs). The start is accepted when the named block A[R, cols] is
-diagonal with a nonzero diagonal, every other row is an inequality, and
-the basic solution is nonnegative up to FEAS_TOL. The basis matrix is then
-block lower-triangular, so B^-1 [A | b] and the priced phase-2 row come
-from one block elimination (on slice views when the named rows are a
-prefix, as in every direct-scheme start) instead of one pivot per row.
-Any other start leaves the tableau untouched and runs the cold solve,
-byte for byte as without a start. Installing the start is not counted as
-pivots. A crash solve that does not end optimal is redone cold: rounding
-error builds up pivot by pivot, and on one 243-state i.i.d. expansion the
-phase 2 from the honest start drifted into a numerical failure that the
-cold path does not hit. So a start never costs a certified answer.
+per constraint: a variable index that becomes basic in that row, or -1 to
+keep the row's slack or surplus basic. The start is accepted when the
+named block A[R, cols] is diagonal with a nonzero diagonal, every other
+row is an inequality, and the basic solution is nonnegative up to
+FEAS_TOL. The basis matrix is then block lower-triangular, so B^-1 [A | b]
+and the priced phase-2 row come from one block elimination (on slice views
+when the named rows are a prefix, as in every direct-scheme start) instead
+of one pivot per row. Any other start leaves the tableau untouched and
+runs the cold solve, byte for byte as without a start. Installing the
+start is not counted as pivots. A crash solve that does not end optimal is
+redone cold: rounding error builds up pivot by pivot, and on one 243-state
+i.i.d. expansion the phase 2 from the honest start drifted into a
+numerical failure that the cold path does not hit. So a start never costs
+a certified answer.
 
 Tolerances: pivot 1e-10, feasibility 1e-8. A returned "optimal" point is
 re-checked against the original constraints; anything that cannot be
 certified comes back with status "numerical_failure", never as a wrong
 optimum.
-
-An external solver can be substituted behind the same contract by passing
-``engine=`` to :func:`solve`.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -110,27 +107,22 @@ class _Rows(Sequence):
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """maximize objective @ x subject to A x (relations) b and bounds.
+    """maximize objective @ x subject to A x (relations) b and x >= 0.
 
     Constraints are ``A`` (k x n), ``relations`` (k of "<=", "=", ">=")
     and ``b`` (k), checked in one vectorized pass and kept as read-only
     views, not copies. Row input,
     ``LinearProgram(c, [(coeffs, relation, rhs) or Constraint, ...])``, is
-    stacked once; ``constraints`` reads the rows back from A.
-
-    Variable lower bounds default to 0; upper bounds default to +inf.
-    A lower bound of -inf makes the variable free.
+    stacked once; ``constraints`` reads the rows back from A. Every
+    variable is nonnegative; a bound of another kind is written as a row.
     """
 
     objective: np.ndarray
     A: np.ndarray
     relations: np.ndarray
     b: np.ndarray
-    lower: np.ndarray
-    upper: np.ndarray
 
-    def __init__(self, objective, constraints=(), lower=None, upper=None, *,
-                 A=None, relations=None, b=None):
+    def __init__(self, objective, constraints=(), *, A=None, relations=None, b=None):
         c = np.asarray(objective, dtype=float)
         if c.ndim != 1 or c.size == 0:
             raise ValidationError("objective must be a nonempty vector")
@@ -153,16 +145,7 @@ class LinearProgram:
             if not finite.all():
                 raise ValidationError(
                     f"constraint {np.argmin(finite)}: {name} must be finite")
-        lo = np.zeros(n) if lower is None else np.asarray(lower, dtype=float) + 0.0
-        hi = np.full(n, np.inf) if upper is None else np.asarray(upper, dtype=float) + 0.0
-        if lo.shape != (n,) or hi.shape != (n,):
-            raise ValidationError("bounds must match the objective dimension")
-        if np.any(np.isnan(lo)) or np.any(np.isnan(hi)) or np.any(lo == np.inf):
-            raise ValidationError("lower bounds must be finite or -inf")
-        if np.any(hi == -np.inf):
-            raise ValidationError("upper bounds must be finite or +inf")
-        for name, value in zip(("objective", "A", "relations", "b", "lower", "upper"),
-                               (c, A, rel, b, lo, hi)):
+        for name, value in zip(("objective", "A", "relations", "b"), (c, A, rel, b)):
             view = value.view()  # read-only; the caller's array stays writeable
             view.setflags(write=False)
             object.__setattr__(self, name, view)
@@ -183,12 +166,11 @@ class LpOutcome:
     not be certified). ``certificate`` carries a best-effort Farkas vector
     for infeasible programs. ``pivots`` counts the simplex pivots of phase 1
     and phase 2; the pivots that drive leftover artificial variables out of
-    the basis between the phases are not counted. Engines that do not count
-    pivots leave it None. ``start`` is "crash" when a start basis given to
-    :func:`solve` was installed, so phase 1 did not run and ``pivots`` is
-    (0, phase-2 pivots); it is "cold" otherwise, a rejected start included,
-    and so is the cold re-solve that replaces a crash solve which did not
-    end optimal.
+    the basis between the phases are not counted. ``start`` is "crash" when
+    a start basis given to :func:`solve` was installed, so phase 1 did not
+    run and ``pivots`` is (0, phase-2 pivots); it is "cold" otherwise, a
+    rejected start included, and so is the cold re-solve that replaces a
+    crash solve which did not end optimal.
     """
 
     status: str
@@ -200,22 +182,15 @@ class LpOutcome:
     start: str = "cold"
 
 
-Engine = Callable[[LinearProgram], LpOutcome]
-
-
-def solve(lp: LinearProgram, engine: Optional[Engine] = None,
-          start=None) -> LpOutcome:
+def solve(lp: LinearProgram, start=None) -> LpOutcome:
     """Solve a linear program, returning a vertex optimum when one exists.
 
     ``start`` optionally names a start basis with one entry per constraint:
-    an original-variable index that becomes basic in that row, or -1 to
-    keep the row's own slack or surplus basic. A start that cannot be
-    installed as a primal-feasible basis falls back to the cold two-phase
-    solve (see the module docstring), and so does a crash solve that does
-    not end optimal. ``engine`` ignores ``start``.
+    a variable index that becomes basic in that row, or -1 to keep the
+    row's own slack or surplus basic. A start that cannot be installed as a
+    primal-feasible basis falls back to the cold two-phase solve (see the
+    module docstring), and so does a crash solve that does not end optimal.
     """
-    if engine is not None:
-        return engine(lp)
     if start is not None:
         start = np.asarray(start)
         if start.shape != (lp.b.size,) or (
@@ -232,76 +207,6 @@ def solve(lp: LinearProgram, engine: Optional[Engine] = None,
 
 
 # ---------------------------------------------------------------------------
-# standardization
-
-
-class _Standardized:
-    """max c @ u  s.t.  A u = b (b >= 0), u >= 0, plus bookkeeping to map back."""
-
-    def __init__(self, lp: LinearProgram):
-        n = lp.objective.size
-        # Column layout: original variable j owns column plus[j]; a free
-        # variable also owns column minus[j] (x = u_plus - u_minus). A finite
-        # lower bound shifts x = lb + u instead.
-        free = lp.lower == -np.inf
-        width = np.where(free, 2, 1)
-        self.free = free.nonzero()[0]
-        self.plus = np.cumsum(width) - width
-        self.minus = self.plus[self.free] + 1
-        ncols = n + self.free.size
-        shift = np.where(free, 0.0, lp.lower)
-
-        bounded = (lp.upper < np.inf).nonzero()[0]
-        k = lp.b.size
-        m = k + bounded.size
-        A = np.zeros((m, ncols))
-        b = np.empty(m)
-        self._place(A[:k], lp.A)
-        # one dot product per row (A @ shift may round differently); with a
-        # zero shift every dot is +0.0 and rhs - 0.0 == rhs, so b is lp.b
-        b[:k] = ([rhs - row @ shift for row, rhs in zip(lp.A, lp.b)]
-                 if shift.any() else lp.b)
-        if bounded.size:  # one "<=" row per finite upper bound
-            unit = np.zeros((bounded.size, n))
-            unit[np.arange(bounded.size), bounded] = 1.0
-            self._place(A[k:], unit)
-            b[k:] = lp.upper[bounded] - shift[bounded]
-        rel = lp.relations.tolist() + ["<="] * bounded.size
-        origin = list(range(k)) + [-1] * bounded.size  # -1 marks a bound row
-
-        sign = np.ones(m)
-        flip = (b < 0).nonzero()[0]
-        if flip.size:
-            A[flip] *= -1.0
-            b[flip] *= -1.0
-            sign[flip] = -1.0
-            for r in flip:
-                rel[r] = {"<=": ">=", ">=": "<=", "=": "="}[rel[r]]
-
-        self.c = np.zeros(ncols)
-        self._place(self.c, lp.objective)
-        self.A = A
-        self.b = b
-        self.rel = rel
-        self.sign = sign
-        self.origin = origin
-        self.n_user = k
-        self.shift = shift
-        self.nvars = n
-
-    def _place(self, out: np.ndarray, a: np.ndarray) -> None:
-        """Write coefficients over the original variables (last axis) into
-        the matching standardized columns of out, which starts at zero."""
-        out[..., self.plus] = a
-        out[..., self.minus] = -a[..., self.free]
-
-    def recover(self, u: np.ndarray) -> np.ndarray:
-        minus = np.zeros(self.nvars)
-        minus[self.free] = u[self.minus]
-        return u[self.plus] - minus + self.shift
-
-
-# ---------------------------------------------------------------------------
 # tableau simplex
 
 _DEGENERATE_SWITCH = 40  # consecutive degenerate pivots before Bland's rule
@@ -310,25 +215,33 @@ _DEGENERATE_SWITCH = 40  # consecutive degenerate pivots before Bland's rule
 class _Tableau:
     """Dense tableau [B^-1 A | B^-1 b] over the structural and slack columns.
 
-    Columns: structural, then one slack or surplus per inequality row in row
-    order. Rows that need an artificial variable ("=" and ">=" rows) get a
-    basis label first_art + k but no column: phase 1 prices only columns
-    below first_art, the drive-out step reads only those, and duals and
-    certificates come from the labels and std.A.
+    Rows with b < 0 enter negated, with "<=" and ">=" swapped, so the
+    starting rhs is nonnegative; sign holds -1.0 for those rows and b the
+    flipped rhs. Columns: structural, then one slack or surplus per
+    inequality row in row order. Rows that need an artificial variable
+    ("=" and ">=" rows after the flip) get a basis label first_art + k but
+    no column: phase 1 prices only columns below first_art, the drive-out
+    step reads only those, and duals and certificates come from the
+    labels, A and sign.
     """
 
-    def __init__(self, std: _Standardized):
-        m, n = std.A.shape
-        rel = np.array(std.rel, dtype=object)
-        slack_rows = (rel != "=").nonzero()[0]
-        self.art_rows = (rel != "<=").nonzero()[0]  # row of label first_art + k
+    def __init__(self, lp: LinearProgram):
+        m, n = lp.A.shape
+        neg = lp.b < 0
+        self.sign = np.where(neg, -1.0, 1.0)
+        self.b = lp.b * self.sign
+        eq = lp.relations == "="
+        ge = np.where(neg, lp.relations == "<=", lp.relations == ">=")  # after the flip
+        slack_rows = (~eq).nonzero()[0]
+        self.art_rows = (eq | ge).nonzero()[0]  # row of label first_art + k
         self.first_art = n + slack_rows.size
         T = np.zeros((m, self.first_art + 1))
-        T[:, :n] = std.A
-        T[:, -1] = std.b
+        T[:, :n] = lp.A
+        T[neg.nonzero()[0], :n] *= -1.0
+        T[:, -1] = self.b
         self.slack_col = np.full(m, -1)
         self.slack_col[slack_rows] = n + np.arange(slack_rows.size)
-        slack_sign = np.where(rel[slack_rows] == ">=", -1.0, 1.0)
+        slack_sign = np.where(ge[slack_rows], -1.0, 1.0)
         T[slack_rows, self.slack_col[slack_rows]] = slack_sign
         basis = self.slack_col.copy()
         basis[self.art_rows] = self.first_art + np.arange(self.art_rows.size)
@@ -343,7 +256,7 @@ class _Tableau:
         # re-pricing is needed between phases; the phase-1 row z1 is priced
         # only when phase 1 runs.
         z2 = np.zeros(self.first_art + 1)
-        z2[:n] = std.c
+        z2[:n] = lp.objective
         self.z2 = z2
         self.z1 = None
         self.priced = (z2,)
@@ -358,26 +271,24 @@ class _Tableau:
         self.z1 = z1
         self.priced = (z1, self.z2)
 
-    def crash(self, std: _Standardized, start: np.ndarray) -> bool:
+    def crash(self, start: np.ndarray) -> bool:
         """Install a start basis by one block elimination; False if rejected.
 
-        start[k] >= 0 makes that original variable basic in constraint row
-        k; -1 (and every upper-bound row) keeps the row's slack basic. The
-        start is accepted only when the named block A[R, cols] is diagonal
-        with a nonzero diagonal and every other row has a slack. Then
-        B^-1 [A | b] is: the R rows divided by their diagonal, and the other
-        rows minus C @ (those rows), divided by their slack coefficient,
-        where C is their part of the named columns. It is also rejected when
-        an entry of B^-1 b is below -FEAS_TOL. When R is a prefix of the
-        rows, both blocks are updated in place through slice views.
+        start[k] >= 0 makes that variable basic in constraint row k; -1
+        keeps the row's slack basic. The start is accepted only when the
+        named block A[R, cols] is diagonal with a nonzero diagonal and every
+        other row has a slack. Then B^-1 [A | b] is: the R rows divided by
+        their diagonal, and the other rows minus C @ (those rows), divided
+        by their slack coefficient, where C is their part of the named
+        columns. It is also rejected when an entry of B^-1 b is below
+        -FEAS_TOL. When R is a prefix of the rows, both blocks are updated
+        in place through slice views.
         """
-        named = np.full(self.m, -1)
-        named[: start.size] = start
-        R = (named >= 0).nonzero()[0]
-        O = (named < 0).nonzero()[0]
+        R = (start >= 0).nonzero()[0]
+        O = (start < 0).nonzero()[0]
         if np.any(self.slack_col[O] < 0):
             return False
-        cols = std.plus[named[R]]
+        cols = start[R]
         T = self.T
         D = T[np.ix_(R, cols)]
         diag = D.diagonal()
@@ -466,12 +377,11 @@ class _Tableau:
 
 
 def _simplex(lp: LinearProgram, start: Optional[np.ndarray] = None) -> LpOutcome:
-    std = _Standardized(lp)
-    tab = _Tableau(std)
+    tab = _Tableau(lp)
     m = tab.m
     # the limit counts one artificial column per row, as the tableau once had
     max_iter = 2000 + 50 * (m + tab.first_art + m)
-    kind = "crash" if start is not None and tab.crash(std, start) else "cold"
+    kind = "crash" if start is not None and tab.crash(start) else "cold"
 
     if kind == "crash":
         phase1_pivots = 0
@@ -485,7 +395,7 @@ def _simplex(lp: LinearProgram, start: Optional[np.ndarray] = None) -> LpOutcome
         phase1 = -tab.z1[-1]
         infeasibility = -phase1  # sum of artificials left over
         if infeasibility > FEAS_TOL:
-            return LpOutcome(status="infeasible", certificate=_farkas(std, tab),
+            return LpOutcome(status="infeasible", certificate=_farkas(lp, tab),
                              pivots=(phase1_pivots, 0))
         tab.priced = (tab.z2,)
         # Drive remaining artificial variables out of the basis; a row whose
@@ -520,36 +430,36 @@ def _simplex(lp: LinearProgram, start: Optional[np.ndarray] = None) -> LpOutcome
     u[tab.basis] = tab.T[:, -1]
     if np.any(u[tab.basis] < -FEAS_TOL):
         return LpOutcome(status="numerical_failure", pivots=pivots, start=kind)
-    x = std.recover(u[: tab.n_struct])
+    x = u[: tab.n_struct] + 0.0  # a -0.0 entry comes back as 0.0
     if not _feasible(lp, x):
         return LpOutcome(status="numerical_failure", pivots=pivots, start=kind)
     value = float(lp.objective @ x)
-    duals = _duals(std, tab, kept_rows, u)
+    duals = _duals(lp, tab, kept_rows, u)
     return LpOutcome(status="optimal", value=value, point=x, duals=duals,
                      pivots=pivots, start=kind)
 
 
 def _feasible(lp: LinearProgram, x: np.ndarray) -> bool:
-    if np.any(x < lp.lower - FEAS_TOL) or np.any(x > lp.upper + FEAS_TOL):
-        return False
+    """A x (relations) b within FEAS_TOL; x >= -FEAS_TOL is checked on u."""
     lhs, rhs, rel = lp.A @ x, lp.b, lp.relations
     return not (np.any((lhs > rhs + FEAS_TOL) & (rel == "<="))
                 or np.any((lhs < rhs - FEAS_TOL) & (rel == ">="))
                 or np.any((np.abs(lhs - rhs) > FEAS_TOL) & (rel == "=")))
 
 
-def _basis_duals(std: _Standardized, tab: _Tableau, kept_rows: np.ndarray,
+def _basis_duals(lp: LinearProgram, tab: _Tableau, kept_rows: np.ndarray,
                  costs: np.ndarray) -> Optional[np.ndarray]:
-    """Multipliers y with B^T y = c_B for the kept standardized rows."""
+    """Multipliers y with B^T y = c_B for the kept rows of the flipped program."""
     if kept_rows.size == 0:
-        return np.zeros(len(std.b))
+        return np.zeros(tab.sign.size)
     basis, n = tab.basis, tab.n_struct
-    # B over the kept rows: structural columns from std.A; a slack, surplus
-    # or artificial column is +-1 in its own row, if that row is kept
+    # B over the kept rows: structural columns from A, with the flipped rows
+    # negated; a slack, surplus or artificial column is +-1 in its own row,
+    # if that row is kept
     cols = np.zeros((kept_rows.size, basis.size))
     struct = (basis < n).nonzero()[0]
-    cols[:, struct] = std.A[np.ix_(kept_rows, basis[struct])]
-    pos = np.full(len(std.b), -1)
+    cols[:, struct] = lp.A[np.ix_(kept_rows, basis[struct])] * tab.sign[kept_rows, None]
+    pos = np.full(tab.sign.size, -1)
     pos[kept_rows] = np.arange(kept_rows.size)
     unit = (basis >= n).nonzero()[0]
     label = basis[unit] - n
@@ -560,38 +470,31 @@ def _basis_duals(std: _Standardized, tab: _Tableau, kept_rows: np.ndarray,
         y = np.linalg.solve(cols.T, costs)
     except np.linalg.LinAlgError:
         return None
-    full = np.zeros(len(std.b))
+    full = np.zeros(tab.sign.size)
     full[kept_rows] = y
     return full
 
 
-def _per_constraint(std: _Standardized, y: np.ndarray) -> np.ndarray:
-    """Standardized-row multipliers in the user's constraint order and signs
-    (the upper-bound rows come last and are dropped)."""
-    k = std.n_user
-    return std.sign[:k] * y[:k]
-
-
-def _duals(std: _Standardized, tab: _Tableau, kept_rows: np.ndarray,
+def _duals(lp: LinearProgram, tab: _Tableau, kept_rows: np.ndarray,
            u: np.ndarray) -> Optional[np.ndarray]:
     costs = np.zeros(tab.basis.size)
     struct = tab.basis < tab.n_struct
-    costs[struct] = std.c[tab.basis[struct]]
-    y = _basis_duals(std, tab, kept_rows, costs)
+    costs[struct] = lp.objective[tab.basis[struct]]
+    y = _basis_duals(lp, tab, kept_rows, costs)
     if y is None:
         return None
-    primal = std.c @ u[: tab.n_struct]
-    gap = abs(primal - y @ std.b)
+    primal = lp.objective @ u[: tab.n_struct]
+    gap = abs(primal - y @ tab.b)
     if gap > 1e-7 * max(1.0, abs(primal)):
         return None
-    return _per_constraint(std, y)
+    return tab.sign * y
 
 
-def _farkas(std: _Standardized, tab: _Tableau) -> Optional[np.ndarray]:
+def _farkas(lp: LinearProgram, tab: _Tableau) -> Optional[np.ndarray]:
     """Best-effort infeasibility certificate from the phase-1 multipliers."""
     rows = np.arange(tab.m)
     costs = np.where(tab.basis >= tab.first_art, -1.0, 0.0)
-    y = _basis_duals(std, tab, rows, costs)
+    y = _basis_duals(lp, tab, rows, costs)
     if y is None:
         return None
-    return _per_constraint(std, y)
+    return tab.sign * y

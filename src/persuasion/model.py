@@ -182,6 +182,7 @@ class DirectScheme:
         mat = _frozen(np.atleast_2d(phi))
         if mat.ndim != 2 or mat.size == 0:
             raise ValidationError("phi must be a nonempty matrix")
+        _require_finite(phi=mat)
         if np.any(mat < -PROB_SUM_TOL):
             raise ValidationError("phi entries must be nonnegative")
         sums = mat.sum(axis=1)

@@ -1,5 +1,6 @@
 """File round-trips, corpus integrity, and CLI behavior."""
 
+import json
 import subprocess
 import sys
 
@@ -221,3 +222,17 @@ def test_cli_audit(tmp_path):
                   "--scheme", str(out))
     assert res.returncode == 0
     assert b"sender utility 0.5555555555" in res.stdout
+
+
+def test_cli_audit_rejects_nan_phi(tmp_path):
+    out = tmp_path / "scheme.json"
+    run_cli("solve", "--input", str(corpus_path("investor")),
+            "--method", "exact", "--output", str(out))
+    data = json.loads(out.read_text())
+    data["phi"][0][0] = float("nan")  # json writes NaN and reads it back
+    out.write_text(json.dumps(data))
+    res = run_cli("audit", "--input", str(corpus_path("investor")),
+                  "--scheme", str(out))
+    assert res.returncode == 1
+    assert b"phi must be finite" in res.stderr
+

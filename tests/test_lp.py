@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from persuasion import fixtures, verify
 from persuasion.errors import ValidationError
 from persuasion.exact import direct_scheme_lp
-from persuasion.lp import LinearProgram, LpOutcome, _Standardized, _Tableau, solve
+from persuasion.lp import LinearProgram, LpOutcome, _Tableau, solve
 from persuasion.model import ExplicitInstance
 
 
@@ -81,30 +81,6 @@ def test_infeasible_with_certificate():
     out = solve(LinearProgram([1.0], [([1.0], "<=", -1.0)]))
     assert out.status == "infeasible"
     assert out.certificate is not None
-
-
-def test_equality_and_free_variable():
-    out = solve(
-        LinearProgram(
-            [0.0, -1.0], [([1, 1], "=", 2.0)], lower=[-np.inf, 0.0]
-        )
-    )
-    assert out.status == "optimal"
-    assert out.value == pytest.approx(0.0, abs=1e-9)
-    assert out.point[1] == pytest.approx(0.0, abs=1e-9)
-
-
-def test_upper_bounds_as_box():
-    out = solve(LinearProgram([1.0, 1.0], upper=[2.0, 5.0]))
-    assert out.status == "optimal"
-    assert out.value == pytest.approx(7.0, abs=1e-9)
-
-
-def test_negative_lower_bound_shift():
-    out = solve(LinearProgram([-1.0], lower=[-4.0]))
-    assert out.status == "optimal"
-    assert out.value == pytest.approx(4.0, abs=1e-9)
-    assert out.point[0] == pytest.approx(-4.0, abs=1e-9)
 
 
 def test_redundant_equalities():
@@ -256,24 +232,17 @@ def _transport_lps(rng, count):
     return lps
 
 
-def _bounded_free_lps(rng, count):
-    """Random programs mixing free, shifted and upper-bounded variables."""
+def _general_lps(rng, count):
+    """Random programs over x >= 0 mixing relations, with negative right-hand
+    sides (rows the tableau flips); some are infeasible."""
     lps = []
     for _ in range(count):
         n = int(rng.integers(2, 7))
         k = int(rng.integers(1, 6))
-        lower = np.where(rng.random(n) < 0.3, -np.inf, rng.uniform(-1, 1, n).round(1))
-        upper = np.where(rng.random(n) < 0.4, lower + rng.uniform(0.5, 3, n), np.inf)
-        upper[lower == -np.inf] = np.inf
         rels = rng.choice(["<=", ">=", "="], size=k, p=[0.5, 0.3, 0.2])
-        cons = [(rng.uniform(-1, 1, n), rel, rng.uniform(-1, 2)) for rel in rels]
-        cons.append((np.ones(n), "<=", 6.0))
-        cons.append((-np.ones(n), "<=", 6.0))
-        for j in np.flatnonzero(lower == -np.inf):  # keeps free variables bounded
-            e = np.zeros(n)
-            e[j] = 1.0
-            cons.append((e, ">=", -5.0))
-        lps.append(LinearProgram(rng.uniform(-1, 1, n), cons, lower=lower, upper=upper))
+        cons = [(rng.uniform(-1, 1, n), rel, rng.uniform(-1.5, 1.5)) for rel in rels]
+        cons.append((np.ones(n), "<=", 6.0))  # keeps the program bounded
+        lps.append(LinearProgram(rng.uniform(-1, 1, n), cons))
     return lps
 
 
@@ -305,76 +274,8 @@ def _pivot_corpus():
     rng = np.random.default_rng(20150319)
     lps = [_direct_lp(inst, eps) for inst, eps in _direct_cases(rng)]
     lps += _transport_lps(rng, 40)
-    lps += _bounded_free_lps(rng, 60)
+    lps += _general_lps(rng, 60)
     return lps
-
-
-def _loop_standardized(lp):
-    """Reference standardization: the per-element loops index arrays replaced."""
-    n = lp.objective.size
-    col_of, shift, ncols = [], np.zeros(n), 0
-    for j in range(n):
-        if lp.lower[j] == -np.inf:
-            col_of.append((ncols, ncols + 1))
-            ncols += 2
-        else:
-            shift[j] = lp.lower[j]
-            col_of.append((ncols, -1))
-            ncols += 1
-
-    def expand(a):
-        row = np.zeros(ncols)
-        for j, (p, q) in enumerate(col_of):
-            row[p] = a[j]
-            if q >= 0:
-                row[q] = -a[j]
-        return row
-
-    rows, rhs, rel, origin = [], [], [], []
-    for k, con in enumerate(lp.constraints):
-        rows.append(expand(con.coeffs))
-        rhs.append(con.rhs - con.coeffs @ shift)
-        rel.append(con.relation)
-        origin.append(k)
-    for j in range(n):
-        if lp.upper[j] < np.inf:
-            e = np.zeros(n)
-            e[j] = 1.0
-            rows.append(expand(e))
-            rhs.append(lp.upper[j] - shift[j])
-            rel.append("<=")
-            origin.append(-1)
-    A = np.array(rows, dtype=float).reshape(len(rows), ncols)
-    b = np.array(rhs, dtype=float)
-    sign = np.ones(len(rows))
-    for r in range(len(rows)):
-        if b[r] < 0:
-            A[r] *= -1.0
-            b[r] *= -1.0
-            sign[r] = -1.0
-            rel[r] = {"<=": ">=", ">=": "<=", "=": "="}[rel[r]]
-
-    def recover(u):
-        x = np.empty(n)
-        for j, (p, q) in enumerate(col_of):
-            x[j] = u[p] - (u[q] if q >= 0 else 0.0) + shift[j]
-        return x
-
-    return A, b, rel, sign, origin, expand(lp.objective), recover
-
-
-def test_standardization_matches_per_element_loops():
-    rng = np.random.default_rng(7919)
-    for lp in _pivot_corpus():
-        std = _Standardized(lp)
-        A, b, rel, sign, origin, c, recover = _loop_standardized(lp)
-        assert std.A.tobytes() == A.tobytes() and std.A.shape == A.shape
-        assert std.b.tobytes() == b.tobytes()
-        assert std.sign.tobytes() == sign.tobytes()
-        assert std.c.tobytes() == c.tobytes()
-        assert (std.rel, std.origin) == (rel, origin)
-        u = np.where(rng.random(c.size) < 0.3, 0.0, rng.uniform(0, 3, c.size))
-        assert std.recover(u).tobytes() == recover(u).tobytes()
 
 
 def _as_bytes(out):
@@ -411,8 +312,6 @@ def _highs(lp):
         b_ub=(rhs[ub] * sign[ub]) if ub.any() else None,
         A_eq=A[~ub] if (~ub).any() else None,
         b_eq=rhs[~ub] if (~ub).any() else None,
-        bounds=list(zip(np.where(np.isinf(lp.lower), None, lp.lower),
-                        np.where(np.isinf(lp.upper), None, lp.upper))),
         method="highs",
     )
 
@@ -425,10 +324,12 @@ def test_optimal_values_match_highs():
         ref = _highs(lp)
         if ref.status == 2:
             assert out.status == "infeasible"
+            _assert_farkas(lp, out.certificate)
             continue
         assert ref.status == 0
         assert out.status == "optimal"
         assert out.value == pytest.approx(-ref.fun, abs=1e-7)
+        _assert_certified(lp, out)
         checked += 1
     assert checked >= 50
     # the crash path on the corpus's direct-scheme programs
@@ -443,9 +344,21 @@ def test_optimal_values_match_highs():
 # start basis: the honest crash start against the cold solve
 
 
+def _assert_farkas(lp, y, tol=1e-9):
+    """y proves A x (relations) b, x >= 0 infeasible: y A >= 0, y >= 0 on
+    "<=" rows, y <= 0 on ">=" rows and y b < 0."""
+    assert y is not None
+    assert np.all(lp.A.T @ y >= -tol)
+    assert np.all(y[lp.relations == "<="] >= -tol)
+    assert np.all(y[lp.relations == ">="] <= tol)
+    assert y @ lp.b < 0
+
+
 def _assert_certified(lp, out, tol=1e-7):
-    """The point is feasible and the duals prove it optimal."""
+    """The point is feasible, its zeros are +0.0 and the duals prove it
+    optimal."""
     x, y = out.point, out.duals
+    assert not np.signbit(x[x == 0]).any()
     A = np.array([con.coeffs for con in lp.constraints]).reshape(-1, x.size)
     rel = np.array([con.relation for con in lp.constraints])
     rhs = np.array([con.rhs for con in lp.constraints])
@@ -534,13 +447,14 @@ def test_rejected_start_is_the_cold_solve():
 
 
 def test_start_on_general_programs():
-    # a feasible start on a "<=" program with a bound row, and one that fails
-    lp = LinearProgram([1.0, 2.0], [([1.0, 0.0], "<=", 3.0), ([1.0, 1.0], "<=", 4.0)],
-                       upper=[np.inf, 5.0])
-    out = solve(lp, start=[0, -1])
+    # a feasible start on a "<=" program with a bound row, and ones that fail
+    lp = LinearProgram([1.0, 2.0], [([1.0, 0.0], "<=", 3.0), ([1.0, 1.0], "<=", 4.0),
+                                    ([0.0, 1.0], "<=", 5.0)])
+    out = solve(lp, start=[0, -1, -1])
     assert out.start == "crash" and out.value == pytest.approx(8.0, abs=1e-12)
-    assert solve(lp, start=[-1, 1]).start == "crash"
-    assert solve(lp, start=[1, 1]).start == "cold"  # variable 1 named twice
+    assert solve(lp, start=[-1, 1, -1]).start == "crash"
+    assert solve(lp, start=[1, 1, -1]).start == "cold"  # variable 1 named twice
+    assert solve(lp, start=[-1, -1, 1]).start == "cold"  # x1 = 5 breaks row 1
     # a negative diagonal makes the named variable negative
     lp = LinearProgram([1.0, 1.0], [([-1.0, 1.0], "<=", 2.0), ([1.0, 1.0], "<=", 3.0)])
     assert solve(lp, start=[0, -1]).start == "cold"
@@ -570,9 +484,3 @@ def test_malformed_start_is_rejected(start):
     lp = LinearProgram([1.0, 1.0], [([1.0, 0.0], "<=", 1.0), ([0.0, 1.0], "<=", 1.0)])
     with pytest.raises(ValidationError, match="start"):
         solve(lp, start=start)
-
-
-def test_engine_ignores_start():
-    lp = LinearProgram([1.0], [([1.0], "<=", 1.0)])
-    assert solve(lp, engine=lambda p: LpOutcome(status="optimal", value=1.0),
-                 start=[7]).value == 1.0

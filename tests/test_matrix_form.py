@@ -15,7 +15,7 @@ from persuasion.blackbox import _bucket_rows, solve_empirical_lp
 from persuasion.errors import ValidationError
 from persuasion.iid import all_profiles, border_feasible
 from persuasion.khintchine import TwoSignalSignature, _state_types
-from persuasion.lp import Constraint, LinearProgram, _Standardized, _Tableau, solve
+from persuasion.lp import Constraint, LinearProgram, _Tableau, solve
 from persuasion.model import (DirectScheme, ExplicitInstance, IIDInstance,
                               IndependentInstance, Marginal)
 
@@ -114,21 +114,6 @@ def _rows_transport_lp(tau, q, n, cap):
     return LinearProgram(np.zeros(nv), cons)
 
 
-def _rows_relaxation_lp(instance):
-    n, m = instance.action_count, instance.type_count
-    q, xi, rho = instance.type_probs, instance.sender_payoffs, instance.receiver_payoffs
-    cons = [Constraint(np.concatenate([np.ones(m), np.zeros(m)]), "=", 1.0 / n)]
-    for j in range(m):
-        row = np.zeros(2 * m)
-        row[j] = 1.0
-        row[m + j] = n - 1.0
-        cons.append(Constraint(row, "=", float(q[j])))
-    cons.append(Constraint(np.concatenate([rho, -rho]), ">=", 0.0))
-    if n == 1:
-        cons.append(Constraint(np.concatenate([np.zeros(m), np.ones(m)]), "=", 1.0))
-    return LinearProgram(np.concatenate([n * xi, np.zeros(m)]), cons)
-
-
 def _rows_realizability_lp(signature, instance, cap=4096):
     n, m = instance.action_count, instance.type_count
     M = signature.matrices
@@ -225,7 +210,7 @@ def _rows_membership_lp(signature):
 
 
 # ---------------------------------------------------------------------------
-# the nine builders against their row copies
+# the builders against their row copies
 
 
 def _explicit_cases():
@@ -289,12 +274,14 @@ def test_s_signature_lps_match_row_builder(monkeypatch):
     assert cut_rounds > 0
 
 
-def test_relaxation_lp_matches_row_builder(monkeypatch):
+def test_relaxation_is_the_uncut_s_signature_lp(monkeypatch):
     for inst in _iid_cases():
-        if np.any(inst.type_probs == 0):
+        (relaxed,) = _recorded(monkeypatch, approx, lambda: approx.solve_relaxation(inst))
+        if np.any(inst.type_probs == 0):  # kept as zero rows, not dropped
+            assert relaxed.objective.size == 2 * inst.type_count
             continue
-        (new,) = _recorded(monkeypatch, approx, lambda: approx.solve_relaxation(inst))
-        _same_program(new, _rows_relaxation_lp(inst))
+        first = _recorded(monkeypatch, iid, lambda: iid.solve_s_signature(inst))[0]
+        _same_program(relaxed, first)
 
 
 def _reduced_forms():
@@ -439,32 +426,33 @@ def test_matrix_is_not_copied_and_caller_keeps_write_access():
 
 
 def test_zero_shift_rhs_matches_per_row_products():
-    # -0.0 right-hand sides with negative coefficients: every per-row dot
-    # with the zero shift is +0.0, so the rhs is placed as it is
+    # -0.0 right-hand sides with negative coefficients: -0.0 is not below
+    # zero, so those rows keep their sign, and the tableau's initial rhs
+    # column equals the per-row products with a zero shift, rhs - row @ 0
     rng = np.random.default_rng(29)
     A = -rng.random((6, 4))
     b = np.array([-0.0, 0.0, -0.0, 1.0, -2.0, 0.5])
     lp = LinearProgram(rng.uniform(-1, 1, 4), A=A, relations=["<="] * 6, b=b)
-    std = _Standardized(lp)
+    tab = _Tableau(lp)
     signs = np.where(b < 0, -1.0, 1.0)
     expected = np.array([rhs - row @ np.zeros(4) for row, rhs in zip(A, b)]) * signs
-    assert std.b.tobytes() == expected.tobytes()
-    assert std.b.tobytes() == (b * signs).tobytes()
+    assert tab.T[:, -1].tobytes() == expected.tobytes()
+    assert tab.T[:, -1].tobytes() == (b * signs).tobytes() == tab.b.tobytes()
+    assert tab.sign.tobytes() == signs.tobytes()
+    assert tab.T[:, :4].tobytes() == (A * signs[:, None]).tobytes()
 
 
 # ---------------------------------------------------------------------------
 # the crash install on slice views against the copying install
 
 
-def _copying_crash(self, std, start):
+def _copying_crash(self, start):
     """Reference install: fancy-index copies of both row blocks."""
-    named = np.full(self.m, -1)
-    named[: start.size] = start
-    R = (named >= 0).nonzero()[0]
-    O = (named < 0).nonzero()[0]
+    R = (start >= 0).nonzero()[0]
+    O = (start < 0).nonzero()[0]
     if np.any(self.slack_col[O] < 0):
         return False
-    cols = std.plus[named[R]]
+    cols = start[R]
     T = self.T
     D = T[np.ix_(R, cols)]
     diag = D.diagonal()

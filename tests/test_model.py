@@ -74,6 +74,37 @@ def test_nan_probabilities_are_rejected():
         Marginal([0.5, np.nan], [0.0, 1.0], [0.0, 1.0])
 
 
+def _value_objects(bad):
+    """Each value-object constructor, called on otherwise valid input with
+    one entry replaced by bad."""
+    from persuasion.approx import IndependentSignalSampler
+    from persuasion.iid import (AllocationRule, PriorityMixture, ReducedForm,
+                                Signature, SSignature)
+    from persuasion.khintchine import TwoSignalSignature
+
+    quarter = np.full((2, 2, 2), 0.25)
+    quarter[1, 0, 1] = bad
+    third = np.full(3, 1.0 / 3.0)
+    return {
+        "DirectScheme": lambda: DirectScheme([[0.5, 0.5], [bad, 1.0]]),
+        "SSignature": lambda: SSignature([bad, 0.5], [0.25, 0.25], 2),
+        "ReducedForm": lambda: ReducedForm([bad, 0.3]),
+        "Signature": lambda: Signature(quarter),
+        "PriorityMixture": lambda: PriorityMixture([bad, 1.0], [[0, 1], [1, 0]]),
+        "AllocationRule": lambda: AllocationRule([[0], [1]], [[bad, 0.0], [1.0, 0.0]]),
+        "TwoSignalSignature": lambda: TwoSignalSignature([[bad, 0.25]], [[0.25, 0.25]]),
+        "IndependentSignalSampler": lambda: IndependentSignalSampler(
+            fixtures.investor(), np.append(third[:2] / 2, bad), third / 2),
+    }
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("name", sorted(_value_objects(0.0)))
+def test_value_objects_reject_non_finite_entries(name, bad):
+    with pytest.raises(ValidationError, match="must be finite"):
+        _value_objects(bad)[name]()
+
+
 def test_scheme_rows_must_be_stochastic():
     with pytest.raises(ValidationError):
         DirectScheme([[0.5, 0.4]])
