@@ -234,10 +234,15 @@ def load_scheme(path) -> SchemeRecord:
         rows = data["phi"]
         if not isinstance(rows, list) or not rows:
             raise FileFormatError(f"{where}.phi: expected a nonempty matrix")
-        phi = np.array(
-            [_number_list(row, f"{where}.phi[{t}]") for t, row in enumerate(rows)]
-        )
+        phi = [_number_list(row, f"{where}.phi[{t}]") for t, row in enumerate(rows)]
+        if len({len(row) for row in phi}) > 1:
+            raise FileFormatError(f"{where}.phi: rows must have equal lengths")
+        phi = np.array(phi)
         state_order = data.get("state_order")
+        if state_order is not None and (not isinstance(state_order, list)
+                                        or len(state_order) != len(rows)):
+            raise FileFormatError(
+                f"{where}.state_order: expected a list with one entry per phi row")
     if "s_signature" in data:
         sd = data["s_signature"]
         ssig = {

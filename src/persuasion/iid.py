@@ -310,7 +310,7 @@ def transport_lp(profiles: np.ndarray, q: np.ndarray, tau: np.ndarray) -> Linear
                          b=np.concatenate([np.ones(S), np.tile(q * tau, n)]))
 
 
-def decompose_reduced_form(tau, q, n: int, cap: int = PROFILE_CAP) -> AllocationRule:
+def decompose_reduced_form(tau, q, n: int) -> AllocationRule:
     """Explicit allocation rule realizing a feasible symmetric reduced form.
 
     A constant reduced form is realized exactly by the uniform lottery, so
@@ -325,7 +325,7 @@ def decompose_reduced_form(tau, q, n: int, cap: int = PROFILE_CAP) -> Allocation
     if not check.feasible:
         raise InfeasibleReducedFormError(check.violating_set)
     m = q.size
-    profiles = all_profiles(m, n, cap)
+    profiles = all_profiles(m, n)
     S = profiles.shape[0]
     if np.ptp(tau) <= 1e-12 and tau[0] <= 1.0 / n + BORDER_TOL:
         share = min(tau[0], 1.0 / n)

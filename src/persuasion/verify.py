@@ -1,10 +1,12 @@
 """Independent oracles and statistical evaluation.
 
 Everything here exists to check the solvers from a different direction:
-concavification_value recomputes small-instance optima from the geometry
-of posteriors, realizability_check decides whether a claimed signature is
-achievable by any scheme at all, and monte_carlo_eval estimates utility
-and incentive slacks of an arbitrary signal sampler by simulation.
+concavification_value recomputes the optimum of an instance with at most
+three states exactly, as the concave envelope of the posterior value over
+the vertices of the best-response arrangement; realizability_check
+decides whether a claimed signature is achievable by any scheme at all;
+and monte_carlo_eval estimates utility and incentive slacks of an
+arbitrary signal sampler by simulation.
 
 A simulation costs O(trials * actions) numpy work in three stages: the
 source draws states through a table-driven inverse CDF
@@ -37,7 +39,9 @@ from .model import (
     best_response_many,
 )
 
-GRID_RESOLUTION = 512
+VERTEX_DET_TOL = 1e-12  # on unit normals and the all-ones row
+SIMPLEX_TOL = 1e-12
+ORACLE_PROFILE_CAP = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +156,11 @@ class EvalReport:
     recommendation i over deviating to j, with entrywise standard errors in
     ic_slack_se. follow_rate is the fraction of trials whose recommendation
     is a best response to the empirical posterior of its signal.
+
+    std_error is the empirical standard error of the mean utility. It
+    reads 0 when every trial paid the same, for instance when no trial
+    drew a rare type, so a "within k standard errors" gate needs a floor
+    of its own.
     """
 
     trials: int
@@ -238,8 +247,7 @@ def monte_carlo_eval(sampler, source, trials: int,
 
 
 def realizability_check(signature: Union[Signature, TwoSignalSignature],
-                        instance: Optional[IIDInstance] = None,
-                        cap: int = 4096) -> bool:
+                        instance: Optional[IIDInstance] = None) -> bool:
     """Does any signaling scheme have this signature?
 
     Solved as a feasibility LP over per-state signal probabilities of the
@@ -257,7 +265,7 @@ def realizability_check(signature: Union[Signature, TwoSignalSignature],
     marg = M.sum(axis=0)
     if np.max(np.abs(marg - instance.type_probs[None, :])) > 1e-9:
         return False
-    profiles = all_profiles(m, n, cap=cap)
+    profiles = all_profiles(m, n, cap=ORACLE_PROFILE_CAP)
     S = profiles.shape[0]
     lam = np.prod(instance.type_probs[profiles], axis=1)
     # variables phi[t, i] at t*n + i; one "=" row per (signal i, action j,
@@ -276,7 +284,7 @@ def realizability_check(signature: Union[Signature, TwoSignalSignature],
     raise SolverError(f"realizability LP ended with status {out.status}")
 
 
-def allocation_exists_bruteforce(tau, q, n: int, cap: int = 4096) -> bool:
+def allocation_exists_bruteforce(tau, q, n: int) -> bool:
     """Flow-style feasibility oracle for symmetric reduced forms.
 
     Decides directly, by a transportation LP over all m^n type profiles
@@ -288,7 +296,7 @@ def allocation_exists_bruteforce(tau, q, n: int, cap: int = 4096) -> bool:
     """
     tau = np.asarray(tau, dtype=float)
     q = np.asarray(q, dtype=float)
-    out = solve(transport_lp(all_profiles(q.size, n, cap=cap), q, tau))
+    out = solve(transport_lp(all_profiles(q.size, n, cap=ORACLE_PROFILE_CAP), q, tau))
     if out.status == "optimal":
         return True
     if out.status == "infeasible":
@@ -308,133 +316,52 @@ def _value_at(instance: ExplicitInstance, posteriors: np.ndarray) -> np.ndarray:
     return s[np.arange(len(s)), choice]
 
 
-def concavification_value(instance: ExplicitInstance,
-                          resolution: int = GRID_RESOLUTION) -> float:
+def _arrangement_vertices(instance: ExplicitInstance) -> np.ndarray:
+    """Vertices of the best-response arrangement in the simplex, one per row.
+
+    The hyperplanes are r_i = r_j and s_i = s_j for each pair of actions
+    and the facets mu_k = 0; a vertex solves S - 1 of them and sum(mu) = 1.
+    Normals are scaled to unit length and zero ones (equal payoffs) are
+    dropped, so the singularity test does not depend on the payoff scale.
+    """
+    S, r, s = instance.state_count, instance.receiver_payoffs, instance.sender_payoffs
+    i, j = np.triu_indices(instance.action_count, 1)
+    normals = np.vstack([(r[:, i] - r[:, j]).T, (s[:, i] - s[:, j]).T, np.eye(S)])
+    norms = np.linalg.norm(normals, axis=1)
+    normals = normals[norms > 0.0] / norms[norms > 0.0, None]
+    combos = list(itertools.combinations(range(len(normals)), S - 1))
+    picks = np.array(combos, dtype=int).reshape(len(combos), S - 1)
+    systems = np.concatenate([normals[picks], np.ones((len(picks), 1, S))], axis=1)
+    systems = systems[np.abs(np.linalg.det(systems)) > VERTEX_DET_TOL]
+    pts = np.linalg.solve(systems, np.eye(S)[:, -1:])[..., 0]
+    pts = np.clip(pts[np.all(pts >= -SIMPLEX_TOL, axis=1)], 0.0, None)
+    return pts / pts.sum(axis=1, keepdims=True)
+
+
+def concavification_value(instance: ExplicitInstance, resolution=None) -> float:
     """Optimal sender value via the concave envelope of the posterior value.
 
-    The sender's value as a function of the receiver's posterior is
-    piecewise linear with pieces bounded by best-response switching loci,
-    and the optimum is the concave envelope of that function at the prior.
-    With two states the construction is exact via the switching
-    breakpoints; with three states the candidate set is a triangulated
-    grid plus all switching loci, their pairwise intersections, and the
-    sender-indifference points along each locus, which again contains
-    every vertex of the piecewise-linear arrangement. Supports at most
-    three states; this is an oracle, not a solver.
+    The sender's value as a function of the posterior is piecewise linear
+    on the cells of the best-response arrangement and upper semicontinuous
+    (receiver ties go to the sender), so its concave envelope is attained
+    on cell vertices. The envelope at the prior is one LP with S rows over
+    those vertices and the prior. Sender and receiver payoffs are first
+    scaled by powers of two to a largest magnitude in [1/2, 1), so the
+    tie and LP tolerances act relative to the payoffs. This is exact for
+    S <= 3 and independent of solve_exact; larger instances raise
+    InstanceTooLargeError. resolution has no effect: it is kept only
+    because the benchmark harness still passes one.
     """
     S = instance.state_count
     if S > 3:
         raise InstanceTooLargeError(S, 3)
-    if S == 1:
-        return float(_value_at(instance, np.ones((1, 1)))[0])
-    if S == 2:
-        return _concavify_two(instance)
-    return _concavify_three(instance, resolution)
-
-
-def _concavify_two(instance: ExplicitInstance) -> float:
-    r = instance.receiver_payoffs  # (2, n)
-    s = instance.sender_payoffs
-    ps = {0.0, 1.0, float(instance.state_probs[1])}
-    n = instance.action_count
-    for i in range(n):
-        for j in range(i + 1, n):
-            for mat in (r, s):
-                d0 = mat[0, i] - mat[0, j]
-                d1 = mat[1, i] - mat[1, j]
-                if d0 != d1:
-                    p = d0 / (d0 - d1)
-                    if 0.0 < p < 1.0:
-                        ps.add(float(p))
-    pts = np.array(sorted(ps))
-    posts = np.stack([1.0 - pts, pts], axis=1)
-    vals = _value_at(instance, posts)
-    prior = float(instance.state_probs[1])
-    best = -np.inf
-    for i in range(len(pts)):
-        for j in range(i, len(pts)):
-            a, b = pts[i], pts[j]
-            if not (a - 1e-15 <= prior <= b + 1e-15):
-                continue
-            if j == i:
-                cand = vals[i]
-            else:
-                t = (prior - a) / (b - a)
-                cand = (1 - t) * vals[i] + t * vals[j]
-            best = max(best, float(cand))
-    return best
-
-
-def _simplex_grid(resolution: int) -> np.ndarray:
-    """Points (i, j, resolution - i - j) / resolution, i then j ascending."""
-    steps = np.arange(resolution + 1)
-    i, j = np.nonzero(steps[:, None] + steps <= resolution)
-    return np.stack([i, j, resolution - i - j], axis=1).astype(float) / resolution
-
-
-def _loci_points(instance: ExplicitInstance, resolution: int) -> np.ndarray:
-    """Points on and around best-response switching loci in the 2-simplex."""
-    r = instance.receiver_payoffs  # (3, n)
-    s = instance.sender_payoffs
-    n = instance.action_count
-    normals = []
-    for i, j in itertools.combinations(range(n), 2):
-        normals.append(r[:, i] - r[:, j])
-        normals.append(s[:, i] - s[:, j])
-    pts = [np.eye(3)[k] for k in range(3)]
-
-    def clip_to_simplex(p):
-        if np.all(p >= -1e-12) and abs(p.sum() - 1.0) < 1e-9:
-            pts.append(np.clip(p, 0.0, None) / np.clip(p, 0.0, None).sum())
-
-    ones = np.ones(3)
-    for d in normals:
-        # segment endpoints: intersections with the simplex boundary mu_k = 0
-        for k in range(3):
-            rows = np.array([d, ones, np.eye(3)[k]])
-            rhs = np.array([0.0, 1.0, 0.0])
-            try:
-                p = np.linalg.solve(rows, rhs)
-            except np.linalg.LinAlgError:
-                continue
-            clip_to_simplex(p)
-        for d2 in normals:
-            if d2 is d:
-                continue
-            rows = np.array([d, d2, ones])
-            rhs = np.array([0.0, 0.0, 1.0])
-            try:
-                p = np.linalg.solve(rows, rhs)
-            except np.linalg.LinAlgError:
-                continue
-            clip_to_simplex(p)
-    # sampled points along each locus segment, for robustness
-    base = np.array(pts)
-    extra = []
-    for d in normals:
-        on_locus = base[np.abs(base @ d) < 1e-11]
-        if len(on_locus) >= 2:
-            gaps = ((on_locus[:, None, :] - on_locus[None, :, :]) ** 2).sum(-1)
-            i0, j0 = np.unravel_index(np.argmax(gaps), gaps.shape)
-            lo, hi = on_locus[i0], on_locus[j0]
-            ts = np.linspace(0.0, 1.0, resolution // 4 + 2)
-            extra.append(np.outer(1 - ts, lo) + np.outer(ts, hi))
-    if extra:
-        base = np.vstack([base] + extra)
-    return base
-
-
-def _concavify_three(instance: ExplicitInstance, resolution: int) -> float:
-    pts = np.vstack([
-        _simplex_grid(resolution),
-        _loci_points(instance, resolution),
-        instance.state_probs[None, :],
-    ])
-    vals = _value_at(instance, pts)
-    # envelope at the prior: the best mixture of candidate posteriors
-    # averaging back to the prior
-    out = solve(LinearProgram(vals, A=pts.T, relations=["="] * 3,
-                              b=instance.state_probs))
+    ks, kr = (np.ldexp(1.0, -np.frexp(np.abs(m).max())[1])
+              for m in (instance.sender_payoffs, instance.receiver_payoffs))
+    unit = ExplicitInstance(instance.state_probs, instance.sender_payoffs * ks,
+                            instance.receiver_payoffs * kr)
+    pts = np.vstack([_arrangement_vertices(unit), unit.state_probs[None, :]])
+    out = solve(LinearProgram(_value_at(unit, pts), A=pts.T, relations=np.full(S, "="),
+                              b=unit.state_probs))
     if out.status != "optimal":
         raise SolverError(f"envelope LP ended with status {out.status}")
-    return float(out.value)
+    return float(out.value) / ks

@@ -236,3 +236,31 @@ def test_cli_audit_rejects_nan_phi(tmp_path):
     assert res.returncode == 1
     assert b"phi must be finite" in res.stderr
 
+
+
+@pytest.fixture(scope="module")
+def investor_scheme(tmp_path_factory):
+    path = tmp_path_factory.mktemp("scheme") / "investor.json"
+    res = run_cli("solve", "--input", str(corpus_path("investor")),
+                  "--method", "exact", "--output", str(path))
+    assert res.returncode == 0
+    return json.loads(path.read_text())
+
+
+@pytest.mark.parametrize("command", ["signal", "audit"])
+@pytest.mark.parametrize("field", ["phi", "state_order"])
+def test_cli_rejects_malformed_scheme(tmp_path, investor_scheme, command, field):
+    data = json.loads(json.dumps(investor_scheme))
+    if field == "phi":
+        data["phi"][1] = data["phi"][1][:-1]  # ragged rows
+    else:
+        data["state_order"] = 5
+    path = tmp_path / "scheme.json"
+    path.write_text(json.dumps(data))
+    extra = ("--state", "1,0") if command == "signal" else ()
+    res = run_cli(command, "--input", str(corpus_path("investor")),
+                  "--scheme", str(path), *extra)
+    assert res.returncode == 1
+    assert res.stderr.startswith(b"error: ")
+    assert field.encode() in res.stderr
+    assert b"Traceback" not in res.stderr

@@ -136,18 +136,6 @@ def _rows_realizability_lp(signature, instance, cap=4096):
     return LinearProgram(np.zeros(nv), cons)
 
 
-def _rows_envelope_lp(instance, resolution):
-    pts = np.vstack([
-        verify._simplex_grid(resolution),
-        verify._loci_points(instance, resolution),
-        instance.state_probs[None, :],
-    ])
-    vals = verify._value_at(instance, pts)
-    cons = [Constraint(pts[:, k], "=", float(instance.state_probs[k]))
-            for k in range(3)]
-    return LinearProgram(vals, cons)
-
-
 def _rows_khintchine_lp(a):
     n = a.size
     S = 2 ** n
@@ -319,15 +307,6 @@ def test_realizability_lp_matches_row_builder(monkeypatch):
         (new,) = _recorded(monkeypatch, verify,
                            lambda: verify.realizability_check(sig, inst))
         _same_program(new, _rows_realizability_lp(sig, inst))
-
-
-def test_envelope_lp_matches_row_builder(monkeypatch):
-    rng = np.random.default_rng(17)
-    for inst in (fixtures.three_action_base(), fixtures.random_explicit(rng, 3, 3),
-                 fixtures.random_explicit(rng, 3, 1)):
-        (new,) = _recorded(monkeypatch, verify,
-                           lambda: verify.concavification_value(inst, 16))
-        _same_program(new, _rows_envelope_lp(inst, 16))
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -587,11 +566,3 @@ def test_expand_product_matches_profile_loop():
         got = (full.state_probs, full.sender_payoffs, full.receiver_payoffs)
         for a, b in zip(got, _loop_expand_product(inst)):
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
-
-
-@pytest.mark.parametrize("resolution", [1, 2, 7, 16, 512])
-def test_simplex_grid_matches_nested_loops(resolution):
-    pts = [(i, j, resolution - i - j) for i in range(resolution + 1)
-           for j in range(resolution + 1 - i)]
-    expected = np.array(pts, dtype=float) / resolution
-    assert verify._simplex_grid(resolution).tobytes() == expected.tobytes()

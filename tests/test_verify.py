@@ -1,5 +1,6 @@
 """Verification harness: concavification, realizability, simulation."""
 
+import itertools
 import warnings
 
 import numpy as np
@@ -20,6 +21,7 @@ from persuasion.verify import (
     IIDSource,
     NoInformationSampler,
     OracleSource,
+    _arrangement_vertices,
     concavification_value,
     monte_carlo_eval,
     realizability_check,
@@ -65,15 +67,99 @@ def test_two_state_agreement_with_exact_solver():
 
 def test_three_state_agreement_with_exact_solver():
     lam = fixtures.three_action_shifted(0.1)
-    assert concavification_value(lam, resolution=128) == pytest.approx(
+    assert concavification_value(lam) == pytest.approx(
         solve_exact(lam).value, abs=1e-9
     )
     rng = np.random.default_rng(93)
     for _ in range(6):
         inst = fixtures.random_explicit(rng, 3, int(rng.integers(2, 4)))
-        assert concavification_value(inst, resolution=128) == pytest.approx(
-            solve_exact(inst).value, abs=1e-6
+        assert concavification_value(inst) == pytest.approx(
+            solve_exact(inst).value, abs=1e-9
         )
+    # the resolution argument is accepted and ignored
+    assert concavification_value(inst, 8) == concavification_value(inst)
+
+
+def _integer_instance(rng, states, aligned):
+    """Payoffs in {-1, 0, 1}: ties, coincident loci and zero normals are
+    common. Aligned instances give the receiver the sender's payoffs."""
+    n = int(rng.integers(1, 5))
+    s = rng.integers(-1, 2, (states, n)).astype(float)
+    r = s if aligned else rng.integers(-1, 2, (states, n)).astype(float)
+    return ExplicitInstance(fixtures.random_simplex(rng, states), s, r)
+
+
+@pytest.mark.parametrize("states", [1, 2, 3])
+def test_degenerate_integer_payoffs_agree_with_exact_solver(states):
+    rng = np.random.default_rng([94, states])
+    for k in range(40):
+        inst = _integer_instance(rng, states, aligned=k % 4 == 0)
+        assert concavification_value(inst) == pytest.approx(
+            solve_exact(inst).value, abs=1e-9
+        )
+
+
+@pytest.mark.parametrize("factor", [1e-6, 1e6])
+def test_envelope_scales_with_payoffs(factor):
+    rng = np.random.default_rng(97)
+    for _ in range(120):
+        inst = fixtures.random_explicit(rng, int(rng.integers(1, 4)),
+                                        int(rng.integers(1, 5)))
+        scaled = ExplicitInstance(inst.state_probs, inst.sender_payoffs * factor,
+                                  inst.receiver_payoffs * factor)
+        assert concavification_value(scaled) == pytest.approx(
+            factor * concavification_value(inst), rel=1e-12
+        )
+
+
+def _loop_breakpoints(instance):
+    """Candidate posteriors of the two-state construction the vertex
+    enumeration replaced: the switching breakpoints and the two ends."""
+    r, s = instance.receiver_payoffs, instance.sender_payoffs
+    ps = [0.0, 1.0]
+    for i, j in itertools.combinations(range(instance.action_count), 2):
+        for mat in (r, s):
+            d0, d1 = mat[0, i] - mat[0, j], mat[1, i] - mat[1, j]
+            if d0 != d1 and 0.0 < d0 / (d0 - d1) < 1.0:
+                ps.append(d0 / (d0 - d1))
+    return np.array([[1.0 - p, p] for p in ps])
+
+
+def _loop_intersections(instance):
+    """Pairwise locus intersections and locus-facet intersections of the
+    three-state construction the vertex enumeration replaced."""
+    r, s = instance.receiver_payoffs, instance.sender_payoffs
+    normals = []
+    for i, j in itertools.combinations(range(instance.action_count), 2):
+        normals += [r[:, i] - r[:, j], s[:, i] - s[:, j]]
+    pts = [np.eye(3)[k] for k in range(3)]
+    systems = [(np.array([d, np.ones(3), np.eye(3)[k]]), [0.0, 1.0, 0.0])
+               for d in normals for k in range(3)]
+    systems += [(np.array([d, d2, np.ones(3)]), [0.0, 0.0, 1.0])
+                for a, d in enumerate(normals) for b, d2 in enumerate(normals) if a != b]
+    for rows, rhs in systems:
+        try:
+            p = np.linalg.solve(rows, rhs)
+        except np.linalg.LinAlgError:
+            continue
+        if np.all(p >= -1e-12) and abs(p.sum() - 1.0) < 1e-9:
+            pts.append(np.clip(p, 0.0, None) / np.clip(p, 0.0, None).sum())
+    return np.array(pts)
+
+
+def test_vertices_contain_the_loop_candidates():
+    rng = np.random.default_rng(96)
+    cases = [fixtures.prosecutor(), fixtures.three_action_base(),
+             fixtures.three_action_shifted(0.1)]
+    cases += [fixtures.random_explicit(rng, S, n) for S in (2, 3) for n in (1, 2, 3, 4)
+              for _ in range(3)]
+    cases += [_integer_instance(rng, S, aligned=k % 4 == 0) for S in (2, 3)
+              for k in range(12)]
+    for inst in cases:
+        loop = (_loop_breakpoints if inst.state_count == 2 else _loop_intersections)(inst)
+        vertices = _arrangement_vertices(inst)
+        gaps = np.abs(loop[:, None, :] - vertices[None, :, :]).max(axis=2).min(axis=1)
+        assert gaps.max() <= 1e-12
 
 
 def test_rejects_more_than_three_states():
