@@ -32,10 +32,12 @@ print(f"HIGH probabilities per type: {np.round(x / instance.type_probs, 5)}")
 sampler = IndependentSignalSampler(instance, x, y)
 rng = np.random.default_rng(11)
 trials = 500_000
-profiles, sender, receiver = IIDSource(instance).draw_many(trials, rng)
+profiles = IIDSource(instance).draw_many(trials, rng)
 recs, highs = sampler.sample_many_detailed(profiles, rng)
+xi, rho = instance.sender_payoffs, instance.receiver_payoffs
+rec_types = profiles[np.arange(trials), recs]
 
-utility = sender[np.arange(trials), recs].mean()
+utility = xi[rec_types].mean()
 ratio = 1.0 - (1.0 - 1.0 / n) ** n
 print(f"\nsimulated utility: {utility:.4f}")
 print(f"guaranteed floor:  {ratio:.4f} * {bound:.4f} = {ratio * bound:.4f}")
@@ -44,8 +46,8 @@ p_high = highs.any(axis=1).mean()
 print(f"\nP[at least one HIGH]: {p_high:.4f} (theory {ratio:.4f})")
 
 hit = highs[np.arange(trials), recs]
-est_high = receiver[np.arange(trials), recs][hit].mean()
+est_high = rho[rec_types[hit]].mean()
 print(f"receiver payoff of a followed HIGH: {est_high:.4f} "
-      f"(theory n*rho.x = {n * instance.receiver_payoffs @ x:.4f})")
-print(f"receiver payoff of a LOW action:    {receiver[~highs].mean():.4f} "
-      f"(theory n*rho.y = {n * instance.receiver_payoffs @ y:.4f})")
+      f"(theory n*rho.x = {n * rho @ x:.4f})")
+print(f"receiver payoff of a LOW action:    {rho[profiles[~highs]].mean():.4f} "
+      f"(theory n*rho.y = {n * rho @ y:.4f})")

@@ -133,8 +133,7 @@ class IndependentSignalSampler:
         highs = rng.random((T, n)) < self._p_high[profiles]
         # uniform random keys: the argmax over a masked subset is uniform on it
         keys = rng.random((T, n))
-        recs = np.where(highs, keys, -1.0).argmax(axis=1)
-        # a row with no HIGH component lands on a LOW one: all actions compete
-        none = np.flatnonzero(~highs[np.arange(T), recs])
-        recs[none] = keys[none].argmax(axis=1)
-        return recs, highs
+        # k - 1 is exact for k in [0, 1): every LOW key falls below every HIGH
+        # key and keeps its order, so a row with no HIGH picks among all actions
+        np.subtract(keys, 1.0, out=keys, where=~highs)
+        return keys.argmax(axis=1), highs

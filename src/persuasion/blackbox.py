@@ -27,7 +27,7 @@ import numpy as np
 from .errors import SolverError, ValidationError
 from .exact import direct_scheme_lp
 from .lp import solve
-from .model import ExplicitInstance, InverseCDF
+from .model import ExplicitInstance, InverseCDF, _require_epsilon
 
 PAYOFF_BOUND = 1.0 + 1e-12
 EMPIRICAL_IC_TOL = 1e-9
@@ -154,8 +154,7 @@ def solve_empirical_lp(samples, epsilon: float) -> EmpiricalScheme:
     sample comes from a finite-support distribution. Bucketing costs one
     lexsort of the K samples over their 2n payoff columns (_bucket_rows).
     """
-    if epsilon < 0:
-        raise ValidationError("epsilon must be nonnegative")
+    _require_epsilon(epsilon)
     s, r = _as_sample_arrays(samples)
     K, n = s.shape
     uniq, inverse, counts = _bucket_rows(np.hstack([s, r]))
@@ -210,6 +209,7 @@ class BlackboxSampler:
     def __init__(self, oracle: SampleOracle, epsilon: float, K: int):
         if K < 1:
             raise ValidationError("K must be at least 1")
+        _require_epsilon(epsilon)
         if epsilon == 0:
             warnings.warn(
                 "epsilon = 0 keeps the scheme exactly IC on the sample but "

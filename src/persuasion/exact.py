@@ -27,6 +27,7 @@ from .model import (
     IndependentInstance,
     Marginal,
     audit,
+    _require_epsilon,
     best_response,
     best_response_many,
 )
@@ -76,8 +77,7 @@ def solve_exact(instance: ExplicitInstance, epsilon: float = 0.0) -> ExactSoluti
     basis is primal feasible, so phase 1 is skipped. When the optimum is not
     unique, the returned vertex can differ from a cold solve's.
     """
-    if epsilon < 0:
-        raise ValidationError("epsilon must be nonnegative")
+    _require_epsilon(epsilon)
     S, n = instance.state_count, instance.action_count
     lam = instance.state_probs
     # exact argmax, no tie tolerance, so every incentive surplus is >= 0

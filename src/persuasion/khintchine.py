@@ -77,6 +77,7 @@ def khintchine_constant(a) -> float:
     a = np.asarray(a, dtype=float)
     if a.ndim != 1 or a.size == 0:
         raise ValidationError("a must be a nonempty vector")
+    _require_finite(a=a)
     if a.size > BRUTE_CAP:
         raise InstanceTooLargeError(2 ** a.size, 2 ** BRUTE_CAP)
     return float(np.mean(np.abs(sign_dot_products(a))))
@@ -111,6 +112,7 @@ def _khintchine_lp(a: np.ndarray):
     a = np.asarray(a, dtype=float)
     if a.ndim != 1 or a.size == 0:
         raise ValidationError("a must be a nonempty vector")
+    _require_finite(a=a)
     n = a.size
     if n > LP_CAP:
         raise InstanceTooLargeError(2 ** n, 2 ** LP_CAP)

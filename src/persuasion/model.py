@@ -32,6 +32,11 @@ def _require_finite(**arrays) -> None:
             raise ValidationError(f"{name} must be finite")
 
 
+def _require_epsilon(epsilon) -> None:
+    if not (np.isfinite(epsilon) and epsilon >= 0):
+        raise ValidationError(f"epsilon must be finite and >= 0, got {epsilon!r}")
+
+
 @dataclass(frozen=True)
 class ExplicitInstance:
     """A finite prior over states of nature with per-state payoff vectors.

@@ -179,10 +179,11 @@ def check_independent_guarantee(count: int = 20, trials: int = 10 ** 6,
                                    types=int(rng.integers(1, 5)))
         x, y, bound = solve_relaxation(inst)
         sampler = IndependentSignalSampler(inst, x, y)
-        profiles, sender, receiver = IIDSource(inst).draw_many(trials, rng)
+        profiles = IIDSource(inst).draw_many(trials, rng)
         recs, highs = sampler.sample_many_detailed(profiles, rng)
         idx = np.arange(trials)
-        util = sender[idx, recs]
+        rec_types = profiles[idx, recs]
+        util = inst.sender_payoffs[rec_types]
         mean = util.mean()
         se = util.std(ddof=0) / np.sqrt(trials)
         ratio = 1.0 - (1.0 - 1.0 / n) ** n
@@ -194,12 +195,12 @@ def check_independent_guarantee(count: int = 20, trials: int = 10 ** 6,
         # must look like n*rho.x, LOW components like n*rho.y
         hit = highs[idx, recs]
         if hit.any():
-            r_rec = receiver[idx, recs][hit]
+            r_rec = inst.receiver_payoffs[rec_types[hit]]
             est_high = r_rec.mean()
             se_high = r_rec.std(ddof=0) / np.sqrt(r_rec.size)
             target_high = n * float(inst.receiver_payoffs @ x)
             target_low = n * float(inst.receiver_payoffs @ y)
-            low_vals = receiver[~highs]
+            low_vals = inst.receiver_payoffs[profiles[~highs]]
             est_low = low_vals.mean() if low_vals.size else target_low
             if abs(est_high - target_high) > 3 * se_high + 1e-9:
                 ok = False

@@ -9,11 +9,14 @@ and monte_carlo_eval estimates utility and incentive slacks of an
 arbitrary signal sampler by simulation.
 
 A simulation costs O(trials * actions) numpy work in three stages: the
-source draws states through a table-driven inverse CDF
-(model.InverseCDF), the sampler draws recommendations, and every
-per-signal statistic is one weighted np.bincount over (recommendation,
-action) cells. The draws consume the generator exactly as a binary
-search over the cumulative probabilities would.
+source draws state indices or type profiles through a table-driven
+inverse CDF (model.InverseCDF), the sampler draws recommendations, and
+the per-signal statistics are (recommendation, action) cell sums that
+np.add.at accumulates in trial order, one block of BLOCK_TRIALS trials
+at a time. Sources hand out indices and read payoffs per block
+(payoffs(batch, rows)), so memory is the batch plus O(BLOCK_TRIALS *
+actions) temporaries. The draws consume the generator exactly as a
+binary search over the cumulative probabilities would.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ from .model import (
 VERTEX_DET_TOL = 1e-12  # on unit normals and the all-ones row
 SIMPLEX_TOL = 1e-12
 ORACLE_PROFILE_CAP = 4096
+BLOCK_TRIALS = 2 ** 14  # trials per block of the Monte-Carlo cell sums
 
 
 # ---------------------------------------------------------------------------
@@ -57,8 +61,11 @@ class ExplicitSource:
         self._state_of = InverseCDF(instance.state_probs)
 
     def draw_many(self, trials: int, rng: np.random.Generator):
-        idx = self._state_of(rng.random(trials))
-        return idx, self.instance.sender_payoffs[idx], self.instance.receiver_payoffs[idx]
+        return self._state_of(rng.random(trials))
+
+    def payoffs(self, batch, rows: slice):
+        idx = batch[rows]
+        return self.instance.sender_payoffs[idx], self.instance.receiver_payoffs[idx]
 
     @staticmethod
     def iter_states(batch):
@@ -74,10 +81,11 @@ class IIDSource:
         self._type_of = InverseCDF(instance.type_probs)
 
     def draw_many(self, trials: int, rng: np.random.Generator):
-        profiles = self._type_of(rng.random((trials, self.action_count)))
-        sender = self.instance.sender_payoffs[profiles]
-        receiver = self.instance.receiver_payoffs[profiles]
-        return profiles, sender, receiver
+        return self._type_of(rng.random((trials, self.action_count)))
+
+    def payoffs(self, batch, rows: slice):
+        profiles = batch[rows]
+        return self.instance.sender_payoffs[profiles], self.instance.receiver_payoffs[profiles]
 
     @staticmethod
     def iter_states(batch):
@@ -92,8 +100,12 @@ class OracleSource:
         self.action_count = oracle.action_count
 
     def draw_many(self, trials: int, rng: np.random.Generator):
-        s, r = self.oracle.draw_batch(trials, rng)
-        return (s, r), s, r
+        return self.oracle.draw_batch(trials, rng)
+
+    @staticmethod
+    def payoffs(batch, rows: slice):
+        s, r = batch
+        return s[rows], r[rows]
 
     @staticmethod
     def iter_states(batch):
@@ -194,41 +206,48 @@ def monte_carlo_eval(sampler, source, trials: int,
     """Simulate a sampler against a state source, assuming recommendations
     are followed. Deterministic given the generator's seed.
 
-    Every per-signal statistic is one weighted np.bincount over the
-    (recommendation, action) cells of the trials-by-actions payoff
-    matrices: IC slack sums, squared-slack sums, and the receiver and
-    sender payoff sums behind the empirical posteriors. The cost is a
-    fixed number of passes over trials * actions entries, with no copy
-    per action, and a few trials-by-actions temporaries. Each sum adds in
-    trial order. Recommendations must be integer actions in 0..n-1;
-    anything else raises ValidationError.
+    The source draws a batch of indices (or, for an oracle, payoff pairs)
+    and the sampler recommends an action per trial. The payoffs are then
+    read in blocks of BLOCK_TRIALS trials: each block fills its slice of
+    the utilities vector and adds the IC slack, squared slack, receiver
+    and sender payoffs to their (recommendation, action) cell sums with
+    np.add.at. Each sum adds in trial order from +0.0, so the blocks give
+    the same bits as one pass. Memory is the batch plus O(BLOCK_TRIALS *
+    actions) temporaries; no trials-by-actions payoff matrix is built.
+    trials must be an integer >= 1. Recommendations must be integer
+    actions in 0..n-1; anything else raises ValidationError.
     """
-    if trials < 1:
-        raise ValidationError("trials must be at least 1")
+    if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)) or trials < 1:
+        raise ValidationError(f"trials must be an integer >= 1, got {trials!r}")
     n = source.action_count
-    batch, sender, receiver = source.draw_many(trials, rng)
+    batch = source.draw_many(trials, rng)
     if hasattr(sampler, "sample_many"):
         raw = sampler.sample_many(batch, rng)
     else:
         raw = [sampler.sample(state, rng) for state in source.iter_states(batch)]
     recs = _checked_recommendations(raw, trials, n)
-    rows = np.arange(trials)
-    utilities = sender[rows, recs]
+    utilities = np.empty(trials)
+    # slack, squared slack, receiver and sender sums per (recommendation, action)
+    sums = np.zeros((4, n * n))
+    for start in range(0, trials, BLOCK_TRIALS):
+        rows = slice(start, start + BLOCK_TRIALS)
+        sender, receiver = source.payoffs(batch, rows)
+        rec = recs[rows]
+        k = np.arange(rec.size)
+        utilities[rows] = sender[k, rec]
+        diffs = receiver[k, rec][:, None] - receiver
+        cells = (rec[:, None] * n + np.arange(n)).ravel()
+        for row, weights in enumerate((diffs, diffs * diffs, receiver, sender)):
+            np.add.at(sums[row], cells, weights.ravel())
     mean = float(utilities.mean())
     se = float(utilities.std(ddof=0) / np.sqrt(trials))
 
-    cells = (recs[:, None] * n + np.arange(n)).ravel()
-
-    def cell_sums(weights):
-        return np.bincount(cells, weights.ravel(), minlength=n * n).reshape(n, n)
-
     # moments of the indicator-weighted slack over all trials, not over hits
-    diffs = receiver[rows, recs][:, None] - receiver
-    slack_mean = cell_sums(diffs) / trials
-    second = cell_sums(diffs * diffs) / trials
+    slack_sum, second_sum, r_sum, s_sum = sums.reshape(4, n, n)
+    slack_mean = slack_sum / trials
+    second = second_sum / trials
     slack_se = np.sqrt(np.clip(second - slack_mean ** 2, 0.0, None) / trials)
     counts = np.bincount(recs, minlength=n).astype(float)
-    r_sum, s_sum = cell_sums(receiver), cell_sums(sender)
     followed = sum(counts[i] for i in np.flatnonzero(counts)
                    if best_response(r_sum[i] / counts[i], s_sum[i] / counts[i]) == i)
     return EvalReport(

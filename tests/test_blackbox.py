@@ -132,6 +132,16 @@ def test_epsilon_zero_warns():
         BlackboxSampler(oracle, epsilon=0.0, K=3)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -0.1])
+def test_non_finite_or_negative_epsilon_raises(bad):
+    inst = fixtures.rain_shine_point(0.1)
+    with pytest.raises(ValidationError, match="epsilon must be finite"):
+        BlackboxSampler(ExplicitOracle(inst), epsilon=bad, K=5)
+    samples = (inst.sender_payoffs, inst.receiver_payoffs)
+    with pytest.raises(ValidationError, match="epsilon must be finite"):
+        solve_empirical_lp(samples, bad)
+
+
 def test_statistical_ic_slack():
     # small-scale version of the deferred-decisions audit
     inst = fixtures.investor_blackbox_instance()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from persuasion import exact, fixtures
-from persuasion.errors import InstanceTooLargeError
+from persuasion.errors import InstanceTooLargeError, ValidationError
 from persuasion.exact import (
     direct_scheme_lp,
     expand_product,
@@ -52,6 +52,12 @@ def test_value_monotone_in_epsilon():
         values = [solve_exact(inst, epsilon=e).value for e in (0.0, 0.05, 0.2, 1.0)]
         for lo, hi in zip(values, values[1:]):
             assert hi >= lo - 1e-9
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -0.1])
+def test_non_finite_or_negative_epsilon_raises(bad):
+    with pytest.raises(ValidationError, match="epsilon must be finite"):
+        solve_exact(fixtures.prosecutor(), epsilon=bad)
 
 
 def test_relaxed_solution_stays_within_its_epsilon():

@@ -237,6 +237,22 @@ def test_cli_audit_rejects_nan_phi(tmp_path):
     assert b"phi must be finite" in res.stderr
 
 
+@pytest.mark.parametrize("args,name", [
+    (("khintchine", "--a", "1,nan", "--brute"), b"a must be finite"),
+    (("khintchine", "--a", "1,inf", "--brute"), b"a must be finite"),
+    (("khintchine", "--a", "1,inf", "--lp"), b"a must be finite"),
+    (("solve", "--input", str(corpus_path("prosecutor")), "--method", "exact",
+      "--epsilon", "nan"), b"epsilon must be finite"),
+    (("blackbox", "--input", str(corpus_path("prosecutor")), "--epsilon", "nan",
+      "-K", "5", "--force-K"), b"epsilon must be finite"),
+], ids=["brute-nan", "brute-inf", "lp-inf", "solve-nan", "blackbox-nan"])
+def test_cli_rejects_non_finite_parameters(args, name):
+    res = run_cli(*args)
+    assert res.returncode == 1
+    assert res.stderr.startswith(b"error: ")
+    assert name in res.stderr
+    assert b"Traceback" not in res.stderr
+
 
 @pytest.fixture(scope="module")
 def investor_scheme(tmp_path_factory):

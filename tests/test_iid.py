@@ -382,7 +382,7 @@ def test_priority_sampler_type_frequencies_match_n_x():
         ssig, _ = solve_s_signature(inst)
         sampler = implement_s_signature(inst, ssig)
         trials = 100_000
-        profiles = IIDSource(inst).draw_many(trials, rng)[0]
+        profiles = IIDSource(inst).draw_many(trials, rng)
         recs = sampler.sample_many(profiles, rng)
         freq = np.bincount(profiles[np.arange(trials), recs], minlength=m) / trials
         z = n * ssig.recommended

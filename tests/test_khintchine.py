@@ -102,6 +102,15 @@ def test_size_caps():
         solve_khintchine_lp(np.ones(13))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("route", [khintchine_constant, solve_khintchine_lp,
+                                   khintchine_lp_witness],
+                         ids=["brute", "lp", "witness"])
+def test_non_finite_coefficients_raise(route, bad):
+    with pytest.raises(ValidationError, match="a must be finite"):
+        route([1.0, bad])
+
+
 def test_signature_validation():
     with pytest.raises(ValidationError):
         TwoSignalSignature(np.full((2, 2), 0.3), np.full((2, 2), 0.25))

@@ -1,6 +1,7 @@
 """Verification harness: concavification, realizability, simulation."""
 
 import itertools
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -15,6 +16,7 @@ from persuasion.iid import Signature, signature_of, solve_s_signature, implement
 from persuasion.model import (DirectScheme, ExplicitInstance, IIDInstance, InverseCDF,
                               best_response, best_response_many)
 from persuasion.verify import (
+    BLOCK_TRIALS,
     DirectSchemeSampler,
     ExplicitSource,
     FullInformationSampler,
@@ -288,7 +290,7 @@ def test_slack_estimates_match_expected_values():
 
 
 # ---------------------------------------------------------------------------
-# the bincount aggregation and table-driven draws against the code they
+# the blocked cell sums and table-driven draws against the code they
 # replaced: per-action masks, searchsorted draws, and the where/any/argmax
 # independent sampler
 
@@ -298,15 +300,12 @@ def _searchsorted_indices(probs, u):
 
 
 def _reference_explicit_draw_many(self, trials, rng):
-    idx = _searchsorted_indices(self.instance.state_probs, rng.random(trials))
-    return idx, self.instance.sender_payoffs[idx], self.instance.receiver_payoffs[idx]
+    return _searchsorted_indices(self.instance.state_probs, rng.random(trials))
 
 
 def _reference_iid_draw_many(self, trials, rng):
     inst = self.instance
-    profiles = _searchsorted_indices(inst.type_probs,
-                                     rng.random((trials, inst.action_count)))
-    return profiles, inst.sender_payoffs[profiles], inst.receiver_payoffs[profiles]
+    return _searchsorted_indices(inst.type_probs, rng.random((trials, inst.action_count)))
 
 
 def _reference_draw_indices(self, k, rng):
@@ -325,7 +324,8 @@ def _reference_sample_many_detailed(self, profiles, rng):
 
 def _reference_monte_carlo_eval(sampler, source, trials, rng):
     n = source.action_count
-    batch, sender, receiver = source.draw_many(trials, rng)
+    batch = source.draw_many(trials, rng)
+    sender, receiver = source.payoffs(batch, slice(None))
     if hasattr(sampler, "sample_many"):
         recs = np.asarray(sampler.sample_many(batch, rng), dtype=int)
     else:
@@ -429,6 +429,37 @@ def test_expansion_with_2187_states_is_bit_identical_to_reference(monkeypatch):
                           ExplicitSource(inst), 20000, 2)
 
 
+@pytest.mark.parametrize("trials", [BLOCK_TRIALS - 1, BLOCK_TRIALS, BLOCK_TRIALS + 1,
+                                    3 * BLOCK_TRIALS + 7])
+def test_block_edges_are_bit_identical_to_reference(monkeypatch, trials):
+    rng = np.random.default_rng(159)
+    inst = fixtures.random_iid(rng, actions=3, types=3, nonnegative=True)
+    ssig, _ = solve_s_signature(inst)
+    _assert_bit_identical(monkeypatch, IndependentSignalSampler(inst),
+                          IIDSource(inst), trials, 1)
+    _assert_bit_identical(monkeypatch, implement_s_signature(inst, ssig),
+                          IIDSource(inst), trials, 2)
+    explicit = fixtures.random_explicit(rng, 7, 3)
+    _assert_bit_identical(monkeypatch, DirectSchemeSampler(solve_exact(explicit).scheme),
+                          ExplicitSource(explicit), trials, 3)
+
+
+def test_evaluation_memory_stays_below_the_payoff_matrices():
+    # blocks keep the peak near 25 MB here; gathering the whole batch's payoff
+    # matrices and aggregating them in one pass peaks near 54 MB
+    inst = fixtures.random_iid(np.random.default_rng(160), actions=4, types=5,
+                               nonnegative=True)
+    sampler, source = IndependentSignalSampler(inst), IIDSource(inst)
+    monte_carlo_eval(sampler, source, 10, np.random.default_rng(0))
+    tracemalloc.start()
+    try:
+        monte_carlo_eval(sampler, source, 250_000, np.random.default_rng(161))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6
+
+
 def _inverse_cdf_cases():
     rng = np.random.default_rng(155)
     yield "uniform tenths, sum below 1", np.full(10, 0.1)
@@ -499,6 +530,21 @@ def test_bad_recommendations_raise_validation_error(wrapper, value):
     with pytest.raises(ValidationError):
         monte_carlo_eval(wrapper(value), ExplicitSource(inst), 50,
                          np.random.default_rng(157))
+
+
+@pytest.mark.parametrize("trials", [2.5, 0, -3, True, "10"])
+def test_trials_must_be_a_positive_integer(trials):
+    inst = ExplicitInstance([0.5, 0.5], [[0.2, 0.9], [0.1, 0.3]], [[0.5, 0.4], [0.0, 1.0]])
+    with pytest.raises(ValidationError, match="trials must be an integer"):
+        monte_carlo_eval(_ConstantSampler(1), ExplicitSource(inst), trials,
+                         np.random.default_rng(162))
+
+
+def test_numpy_integer_trials_are_accepted():
+    inst = ExplicitInstance([0.5, 0.5], [[0.2, 0.9], [0.1, 0.3]], [[0.5, 0.4], [0.0, 1.0]])
+    rep = monte_carlo_eval(_ConstantSampler(1), ExplicitSource(inst), np.int64(7),
+                           np.random.default_rng(163))
+    assert rep.signal_counts.tolist() == [0.0, 7.0]
 
 
 def test_integral_float_recommendations_are_accepted():
