@@ -7,7 +7,8 @@ Each component is HIGH with probability 1/n; conditioned on HIGH an
 action's posterior type mass is n*x, on LOW it is n*y. Recommending any
 HIGH action when one exists achieves at least a 1 - (1 - 1/n)^n fraction
 of the relaxation value for nonnegative payoffs, and the relaxation value
-upper-bounds the true optimum.
+upper-bounds the true optimum. The relaxation is solved with no LP, by
+the parametric greedy of the exact i.i.d. route over another polymatroid.
 """
 
 from __future__ import annotations
@@ -18,14 +19,14 @@ from typing import Tuple
 
 import numpy as np
 
-from .errors import SolverError, ValidationError
-from .iid import s_signature_program
-from .lp import LinearProgram, solve
+from .errors import ValidationError
+from .iid import _greedy_optimum
 from .model import IIDInstance, _require_finite
 
 HIGH = True
 LOW = False
 _X_VS_Q_TOL = 1e-9
+_GATHER_BLOCK = 2 ** 16  # (trial, action) entries per gathered block
 
 
 @dataclass(frozen=True)
@@ -46,24 +47,14 @@ class ComponentSignalVector:
 
 
 def solve_relaxation(instance: IIDInstance) -> Tuple[np.ndarray, np.ndarray, float]:
-    """Optimal (x, y) of the s-signature program without realizability.
+    """Optimal (x, y, value) of the s-signature program without realizability.
 
-    This is solve_s_signature's program with no Border cut, over every
-    type (zero-probability ones included), so x and y have full length.
-    The value n * xi . x is an upper bound on the optimal sender utility;
-    the gap to the true optimum is exactly what dropping the allocation
-    feasibility constraints buys.
+    solve_s_signature's parametric greedy, over the polymatroid
+    z(A) <= min(1, n q(A)) in place of Border's, with no LP. x and y have
+    full length; for n = 1, x = y = q. The value n * xi . x upper-bounds
+    the optimal sender utility.
     """
-    m = instance.type_count
-    objective, A, relations, b = s_signature_program(
-        instance.action_count, instance.type_probs, instance.sender_payoffs,
-        instance.receiver_payoffs)
-    out = solve(LinearProgram(objective, A=A, relations=relations, b=b))
-    if out.status != "optimal":
-        raise SolverError(f"relaxation LP ended with status {out.status}")
-    x = np.clip(out.point[:m], 0.0, None)
-    y = np.clip(out.point[m:], 0.0, None)
-    return x, y, float(out.value)
+    return _greedy_optimum(instance, relaxed=True)
 
 
 def independent_signal(x: np.ndarray, y: np.ndarray, q: np.ndarray,
@@ -130,9 +121,15 @@ class IndependentSignalSampler:
     def sample_many_detailed(self, profiles: np.ndarray, rng: np.random.Generator):
         """Recommendations plus the underlying HIGH/LOW component matrix."""
         T, n = profiles.shape
-        highs = rng.random((T, n)) < self._p_high[profiles]
-        # uniform random keys: the argmax over a masked subset is uniform on it
-        keys = rng.random((T, n))
+        buf = rng.random((T, n))
+        highs = np.empty((T, n), dtype=bool)
+        rows = -(-_GATHER_BLOCK // n)  # blocks: no second (T, n) float array
+        for lo in range(0, T, rows):
+            np.less(buf[lo:lo + rows], self._p_high[profiles[lo:lo + rows]],
+                    out=highs[lo:lo + rows])
+        # uniform keys, in the same buffer: the argmax over a masked subset is
+        # uniform on it
+        keys = rng.random(out=buf)
         # k - 1 is exact for k in [0, 1): every LOW key falls below every HIGH
         # key and keeps its order, so a row with no HIGH picks among all actions
         np.subtract(keys, 1.0, out=keys, where=~highs)

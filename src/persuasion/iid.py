@@ -8,10 +8,9 @@ probabilities tau_j = x_j / q_j are realizable by a single-item allocation
 rule with n i.i.d. bidders, which is exactly the family of subset
 inequalities checked by border_feasible.
 
-solve_s_signature optimizes over (x, y) directly, generating the binding
-subset inequalities on demand: it solves, asks border_feasible for a
-violated prefix set, adds that cut, and repeats; it raises rather than
-return an x the certificate rejects. implement_s_signature turns a
+In z = n x they make a polymatroid whose greedy vertices are priority
+orders over types; solve_s_signature mixes at most two of them, found by
+a parametric greedy with no LP and no cuts. implement_s_signature turns a
 certified x into a signal sampler in time polynomial in m:
 priority_decomposition writes tau as a lottery over at most m + 1
 priority orders of the types (greedy vertices of the Border polytope),
@@ -25,6 +24,7 @@ reduced_form_of evaluates a rule exhaustively; both serve as oracles.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -232,65 +232,66 @@ def _drop_zero_types(instance: IIDInstance):
     return kept, keep
 
 
-def s_signature_program(n: int, q, xi, rho):
-    """(objective, A, relations, b) of the s-signature LP without Border cuts.
+def _greedy_optimum(instance: IIDInstance, relaxed: bool = False):
+    """(x, y, value) of the s-signature program, or of its relaxation.
 
-    Variables are (x, y), 2m of them. Rows: sum x = 1/n, sum y = 1/n,
-    x_j + (n-1) y_j = q_j and rho.(x - y) >= 0; the objective is n xi.x.
+    In z = n x: maximize xi.z over the bases of the polymatroid
+    g(A) = 1 - (1 - q(A))^n (relaxed: min(1, n q(A))) subject to the IC
+    row rho.z >= rho.q; y = (q - x) / (n - 1) >= 0 follows. For n = 1,
+    z = q and y = q: there is no other action. The greedy vertex of the
+    order of xi + lam rho (ties: rho descending, then index) maximizes the
+    Lagrangian, and its rho.z grows with lam. At lam = 0 it is the optimum
+    if it meets the row; otherwise a bisection over one probe per interval
+    between the pairwise breakpoints of the order finds the two vertices
+    either side of lam*, and they are mixed to meet the row with equality.
+    With no breakpoint, the lam = 0 vertex maximizes rho.z and is kept.
     """
+    n, q = instance.action_count, instance.type_probs
+    xi, rho = instance.sender_payoffs, instance.receiver_payoffs
+    if n == 1:
+        return q.copy(), q.copy(), float(xi @ q)
     m = q.size
-    eye = np.eye(m)
-    A = np.vstack([np.kron(np.eye(2), np.ones(m)),
-                   np.hstack([eye, (n - 1.0) * eye]),
-                   np.concatenate([rho, -rho])])
-    relations = ["="] * (m + 2) + [">="]
-    b = np.concatenate([[1.0 / n, 1.0 / n], q, [0.0]])
-    return np.concatenate([n * xi, np.zeros(m)]), A, relations, b
+    q_ext = np.append(q, 0.0)
+
+    def vertex(lam):
+        order = np.lexsort((np.arange(m), -rho, -(xi + lam * rho)))
+        if not relaxed:  # the priority order, "keep" last
+            return _priority_masses(np.append(order, m), q_ext, n)[:m]
+        z = np.empty(m)
+        z[order] = np.diff(np.minimum(n * np.cumsum(q[order]), 1.0), prepend=0.0)
+        return z
+
+    def ic_slack(z):
+        return rho @ (z - q)
+
+    z = vertex(0.0)
+    if ic_slack(z) < 0:
+        i, j = np.triu_indices(m, 1)
+        drho = rho[j] - rho[i]
+        lam = (xi[i] - xi[j])[drho != 0] / drho[drho != 0]
+        cuts = np.unique(lam[lam > 0])
+        # midpoints: a computed breakpoint need not tie the two weights
+        probes = np.concatenate([[0.0], (cuts[:-1] + cuts[1:]) / 2, 2 * cuts[-1:]])
+        k = bisect.bisect_left(probes, True, 1, key=lambda t: ic_slack(vertex(t)) >= 0)
+        lo, hi = vertex(probes[k - 1]), vertex(probes[min(k, cuts.size)])
+        s_lo, s_hi = ic_slack(lo), ic_slack(hi)
+        # s_hi < 0 only by rounding, at the vertex that maximizes rho.z
+        theta = 1.0 if s_hi < 0 else s_lo / (s_lo - s_hi)
+        z = (1.0 - theta) * lo + theta * hi
+    x = z / n
+    return x, np.maximum((q - x) / (n - 1), 0.0), float(xi @ z)
 
 
 def solve_s_signature(instance: IIDInstance) -> Tuple[SSignature, float]:
-    """Optimal realizable s-signature and its sender value.
+    """Optimal realizable s-signature and its sender value, with no LP.
 
-    Types with zero prior probability are dropped before solving and
-    reinstated as zeros in the returned vectors. The returned x always
-    passes border_feasible: when the LP's point violates a Border cut it
-    already holds, this raises SolverError naming the set and its gap.
+    _greedy_optimum over the Border polymatroid, ties in xi + lam rho broken
+    by rho descending, then index: x mixes at most two priority orders and
+    passes border_feasible up to rounding, with no cuts and no SolverError.
+    A zero-probability type gets zero mass; for n = 1, x = y = q.
     """
-    work, keep = _drop_zero_types(instance)
-    n, m, q = work.action_count, work.type_count, work.type_probs
-    # the base program, then one Border cut n * x(A) <= 1 - (1 - q(A))^n
-    # per violated set A
-    objective, A, relations, b = s_signature_program(
-        n, q, work.sender_payoffs, work.receiver_payoffs)
-
-    cuts: list[tuple[int, ...]] = []
-    while True:
-        out = solve(LinearProgram(objective, A=A, relations=relations, b=b))
-        if out.status != "optimal":
-            raise SolverError(f"s-signature LP ended with status {out.status}")
-        x = np.clip(out.point[:m], 0.0, None)
-        check = border_feasible(x / q, q, n)
-        if check.feasible:
-            break
-        if check.violating_set in cuts:
-            named = tuple(int(keep[j]) for j in check.violating_set)
-            raise SolverError(
-                f"s-signature LP point breaks its own Border cut on type set "
-                f"{named}: gap {check.gap:.3e} exceeds {BORDER_TOL:g}")
-        cuts.append(check.violating_set)
-        A = np.vstack([A, np.isin(np.arange(2 * m), cuts[-1]) * float(n)])
-        relations = relations + ["<="]
-        b = np.append(b, 1.0 - (1.0 - q[list(cuts[-1])].sum()) ** n)
-
-    y = np.clip(out.point[m:], 0.0, None)
-    full_x = np.zeros(instance.type_count)
-    full_y = np.zeros(instance.type_count)
-    full_x[keep] = x
-    full_y[keep] = y
-    # clean residual drift so the returned signature meets its invariants
-    full_x *= (1.0 / n) / full_x.sum()
-    full_y *= (1.0 / n) / full_y.sum()
-    return SSignature(full_x, full_y, n), float(out.value)
+    x, y, value = _greedy_optimum(instance)
+    return SSignature(x, y, instance.action_count), value
 
 
 def transport_lp(profiles: np.ndarray, q: np.ndarray, tau: np.ndarray) -> LinearProgram:

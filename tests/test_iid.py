@@ -1,10 +1,13 @@
 """s-signature solver, Border feasibility, decomposition, symmetrization."""
 
+import itertools
+
 import numpy as np
 import pytest
 
-from persuasion import fixtures
-from persuasion.errors import InfeasibleReducedFormError, SolverError, ValidationError
+from persuasion import approx, fixtures, iid
+from persuasion.approx import solve_relaxation
+from persuasion.errors import InfeasibleReducedFormError, ValidationError
 from persuasion.exact import expand_product, honest_scheme, solve_exact
 from persuasion.iid import (
     AllocationRule,
@@ -107,19 +110,103 @@ def test_type_relabeling_invariance():
             ssig.recommended[perm], ssig.other[perm], n))
 
 
-def test_repeated_border_cut_raises_instead_of_returning_uncertified():
-    # The scan of ROADMAP item 1: 600 draws with seed 11, n in [2, 40),
-    # m in [1, 12). Draw 440 (n = 31, m = 3) is one of the 26 for which the
-    # LP's point breaks a cut it already holds, by 2.6e-9; the loop used to
-    # stop there and return that point uncertified.
+def _scan(seed, draws, n_range, m_range):
+    """Random i.i.d. instances, nonnegative payoffs on every other draw."""
+    rng = np.random.default_rng(seed)
+    for k in range(draws):
+        n, m = int(rng.integers(*n_range)), int(rng.integers(*m_range))
+        yield fixtures.random_iid(rng, actions=n, types=m, nonnegative=bool(k % 2))
+
+
+def _border_gap(inst, ssig):
+    q = inst.type_probs
+    return border_feasible(ssig.recommended / q, q, inst.action_count).gap
+
+
+def test_draw_that_broke_a_held_border_cut_is_certified():
+    # Draw 440 of 600 with seed 11, n in [2, 40), m in [1, 12). The LP route
+    # with Border cuts ended on a point that broke a cut it already held,
+    # by 2.6e-9 > BORDER_TOL, and raised SolverError.
     rng = np.random.default_rng(11)
     for _ in range(441):
         n, m = int(rng.integers(2, 40)), int(rng.integers(1, 12))
         inst = fixtures.random_iid(rng, actions=n, types=m)
     assert (n, m) == (31, 3)
-    with pytest.raises(SolverError, match=r"type set \(2,\): gap 2\.6\d\de-09") as err:
+    ssig, _ = solve_s_signature(inst)
+    assert_valid_ssig(inst, ssig)
+    assert _border_gap(inst, ssig) <= 1e-12
+
+
+@pytest.mark.parametrize("seed, draws, n_range, m_range", [
+    (11, 600, (2, 40), (1, 12)),
+    (300, 1000, (2, 301), (1, 13)),
+])
+def test_scans_return_certified_optima(seed, draws, n_range, m_range):
+    # the LP route with Border cuts raised SolverError on 27 and 41 of these draws
+    for inst in _scan(seed, draws, n_range, m_range):
+        ssig, value = solve_s_signature(inst)
+        assert_valid_ssig(inst, ssig)
+        assert _border_gap(inst, ssig) <= 1e-12
+        assert value == pytest.approx(
+            inst.action_count * inst.sender_payoffs @ ssig.recommended, abs=1e-12)
+
+
+def _highs_s_signature_value(inst):
+    """The s-signature LP with every Border row, solved by SciPy's HiGHS.
+
+    HiGHS's default feasibility tolerance, 1e-7, moves its value by up to
+    2e-7 on these draws, so both tolerances are tightened to 1e-10.
+    """
+    from scipy.optimize import linprog
+
+    n, m = inst.action_count, inst.type_count
+    q, xi, rho = inst.type_probs, inst.sender_payoffs, inst.receiver_payoffs
+    eye = np.eye(m)
+    A_eq = np.vstack([np.kron(np.eye(2), np.ones(m)), np.hstack([eye, (n - 1.0) * eye])])
+    b_eq = np.concatenate([[1.0 / n, 1.0 / n], q])
+    sets = np.array(list(itertools.product((0.0, 1.0), repeat=m)))[1:-1]
+    A_ub = np.vstack([np.concatenate([-rho, rho]),
+                      np.hstack([n * sets, np.zeros_like(sets)])])
+    b_ub = np.concatenate([[0.0], 1.0 - (1.0 - sets @ q) ** n])
+    out = linprog(-np.concatenate([n * xi, np.zeros(m)]), A_ub=A_ub, b_ub=b_ub,
+                  A_eq=A_eq, b_eq=b_eq, method="highs",
+                  options=dict(primal_feasibility_tolerance=1e-10,
+                               dual_feasibility_tolerance=1e-10))
+    assert out.status == 0
+    return -out.fun
+
+
+def test_values_match_highs_with_every_border_row():
+    pytest.importorskip("scipy")
+    for inst in _scan(2015, 300, (1, 60), (1, 9)):
+        _, value = solve_s_signature(inst)
+        assert value == pytest.approx(_highs_s_signature_value(inst), abs=1e-9)
+
+
+def test_solvers_make_no_lp_call(monkeypatch):
+    import persuasion.lp
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("lp.solve was called")
+
+    monkeypatch.setattr(persuasion.lp, "solve", refuse)
+    monkeypatch.setattr(iid, "solve", refuse)
+    monkeypatch.setattr(approx, "solve", refuse, raising=False)
+    for inst in _scan(12, 40, (1, 30), (1, 8)):
         solve_s_signature(inst)
-    assert "status" not in str(err.value)
+        solve_relaxation(inst)
+
+
+def test_single_action_other_vector_is_the_prior():
+    # with one action there is no other action: y = x = q, from both solvers
+    inst = IIDInstance(1, [0.2, 0.3, 0.5], [0.4, -1.0, 0.9], [1.0, 0.5, -0.2])
+    ssig, value = solve_s_signature(inst)
+    assert ssig.recommended.tolist() == [0.2, 0.3, 0.5]
+    assert ssig.other.tolist() == [0.2, 0.3, 0.5]
+    assert value == pytest.approx(0.2 * 0.4 - 0.3 + 0.5 * 0.9, abs=1e-15)
+    x, y, relaxed = solve_relaxation(inst)
+    assert x.tolist() == y.tolist() == [0.2, 0.3, 0.5]
+    assert relaxed == value
 
 
 # ---------------------------------------------------------------------------
@@ -337,22 +424,13 @@ def test_priority_decomposition_misses_z_by_at_most_the_border_gap():
     # 40 draws of a scan with n in [2, 300], m in [1, 12] (seed 300). A
     # certified tau may exceed a Border bound by up to BORDER_TOL, and no
     # rule can close that gap; anything beyond it is the decomposition's.
-    rng = np.random.default_rng(300)
-    checked = 0
-    for k in range(40):
-        n, m = int(rng.integers(2, 301)), int(rng.integers(1, 13))
-        inst = fixtures.random_iid(rng, actions=n, types=m, nonnegative=bool(k % 2))
-        try:
-            ssig, _ = solve_s_signature(inst)
-        except SolverError:  # the certification defect; see ROADMAP item 1
-            continue
-        q = inst.type_probs
+    for inst in _scan(300, 40, (2, 301), (1, 13)):
+        n, q = inst.action_count, inst.type_probs
+        ssig, _ = solve_s_signature(inst)
         tau = ssig.recommended / q
         gap = max(border_feasible(tau, q, n).gap, 0.0)
         got = priority_decomposition(tau, q, n).win_masses(q, n)
         assert np.max(np.abs(got - n * q * tau)) <= gap + 1e-14
-        checked += 1
-    assert checked >= 38
 
 
 def test_priority_decomposition_rejects_infeasible_reduced_form():
@@ -407,13 +485,16 @@ def test_priority_sampler_rejects_a_mismatched_mixture():
 
 
 def test_investor_mixture_is_the_unique_priority_lottery():
-    # moderate (type 1) always first; then low before high with chance p,
-    # where 2p/9 + 1/9 = n * x_low = 7/30 gives p = 0.55
+    # xi = (0, 1, 0) ties low and high; rho = (0, 1.1, 2) breaks the tie, so
+    # the optimum is the one greedy vertex of the order moderate, high, low:
+    # n * x = (1/9, 5/9, 1/3), and the lottery is that single order
     inst = fixtures.investor()
-    ssig, _ = solve_s_signature(inst)
+    ssig, value = solve_s_signature(inst)
+    np.testing.assert_allclose(ssig.recommended, [1 / 18, 5 / 18, 1 / 6], atol=1e-15)
+    assert value == pytest.approx(5 / 9, abs=1e-15)
     mix = implement_s_signature(inst, ssig).mixture
-    np.testing.assert_allclose(mix.weights, [0.55, 0.45], atol=1e-12)
-    np.testing.assert_array_equal(mix.orders, [[1, 0, 2, 3], [1, 2, 0, 3]])
+    np.testing.assert_array_equal(mix.weights, [1.0])
+    np.testing.assert_array_equal(mix.orders, [[1, 2, 0, 3]])
 
 
 def test_scheme_from_allocation_returns_the_priority_sampler():
@@ -442,16 +523,9 @@ def test_zero_probability_types_rank_last_and_are_rejected():
 # of the recommended action is j with probability n * x_j): the empirical
 # one reads 0 when the trials miss a rare type.
 PAPER_CASES = [(n, k) for n in (50, 100, 300) for k in range(4)]
-CERTIFICATION_DEFECT = {(300, 3)}  # the LP point breaks a cut it holds
 
 
-@pytest.mark.parametrize("n, k", [
-    pytest.param(n, k, marks=pytest.mark.xfail(
-        strict=True, raises=SolverError,
-        reason="known certification defect: the s-signature LP point breaks a "
-               "Border cut it already holds (gap 3.2e-9 > BORDER_TOL)"))
-    if (n, k) in CERTIFICATION_DEFECT else (n, k)
-    for n, k in PAPER_CASES])
+@pytest.mark.parametrize("n, k", PAPER_CASES)
 def test_implemented_value_at_paper_scale(n, k):
     rng = np.random.default_rng([1503, n])
     for j in range(k + 1):
