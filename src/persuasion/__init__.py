@@ -41,7 +41,6 @@ from .iid import (
     AllocationRule,
     BorderCheck,
     PriorityMixture,
-    ReducedForm,
     Signature,
     SSignature,
     border_feasible,
@@ -50,19 +49,12 @@ from .iid import (
     priority_decomposition,
     reduced_form_of,
     s_signature_of,
-    scheme_from_allocation,
     signature_of,
     solve_s_signature,
     symmetrize,
     symmetrized_sampler,
 )
-from .approx import (
-    ComponentSignalVector,
-    IndependentSignalSampler,
-    independent_signal,
-    solve_relaxation,
-    to_direct_recommendation,
-)
+from .approx import IndependentSignalSampler, solve_relaxation
 from .blackbox import (
     BlackboxSampler,
     EmpiricalScheme,

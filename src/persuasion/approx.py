@@ -9,12 +9,13 @@ HIGH action when one exists achieves at least a 1 - (1 - 1/n)^n fraction
 of the relaxation value for nonnegative payoffs, and the relaxation value
 upper-bounds the true optimum. The relaxation is solved with no LP, by
 the parametric greedy of the exact i.i.d. route over another polymatroid.
+IndependentSignalSampler draws the components and the recommendation for
+a whole batch of profiles at once; a single profile is a batch of one.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
@@ -23,27 +24,8 @@ from .errors import ValidationError
 from .iid import _greedy_optimum
 from .model import IIDInstance, _require_finite
 
-HIGH = True
-LOW = False
 _X_VS_Q_TOL = 1e-9
 _GATHER_BLOCK = 2 ** 16  # (trial, action) entries per gathered block
-
-
-@dataclass(frozen=True)
-class ComponentSignalVector:
-    """One binary component signal per action; True means HIGH."""
-
-    high: np.ndarray
-
-    def __init__(self, high):
-        h = np.array(high, dtype=bool)
-        if h.ndim != 1 or h.size == 0:
-            raise ValidationError("need one component per action")
-        h.setflags(write=False)
-        object.__setattr__(self, "high", h)
-
-    def __iter__(self):
-        return iter(bool(v) for v in self.high)
 
 
 def solve_relaxation(instance: IIDInstance) -> Tuple[np.ndarray, np.ndarray, float]:
@@ -57,35 +39,13 @@ def solve_relaxation(instance: IIDInstance) -> Tuple[np.ndarray, np.ndarray, flo
     return _greedy_optimum(instance, relaxed=True)
 
 
-def independent_signal(x: np.ndarray, y: np.ndarray, q: np.ndarray,
-                       profile, rng: np.random.Generator) -> ComponentSignalVector:
-    """Draw the per-action HIGH/LOW vector for one type profile."""
-    profile = np.asarray(profile, dtype=int)
-    x = np.asarray(x, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if np.any(x > q + _X_VS_Q_TOL):
-        j = int(np.argmax(x - q))
-        raise ValidationError(f"x[{j}]={x[j]!r} exceeds q[{j}]={q[j]!r}")
-    if np.any(q[profile] <= 0):
-        raise ValidationError("profile contains a zero-probability type")
-    p_high = np.minimum(x / np.where(q > 0, q, 1.0), 1.0)
-    return ComponentSignalVector(rng.random(profile.size) < p_high[profile])
-
-
-def to_direct_recommendation(signal: ComponentSignalVector,
-                             rng: np.random.Generator) -> int:
-    """Uniform choice among HIGH components, or among all when none is HIGH."""
-    high = np.nonzero(signal.high)[0]
-    pool = high if high.size else np.arange(signal.high.size)
-    return int(pool[rng.integers(pool.size)])
-
-
 class IndependentSignalSampler:
     """End-to-end direct scheme built from independent component signals.
 
-    Consumes type profiles. The multiplicative guarantee applies to
-    nonnegative payoffs; negative payoffs are tolerated with a warning
-    because the sampler itself stays well defined.
+    Consumes type profiles and rejects one holding a zero-probability
+    type. The multiplicative guarantee applies to nonnegative payoffs;
+    negative payoffs are tolerated with a warning because the sampler
+    itself stays well defined.
     """
 
     def __init__(self, instance: IIDInstance,
@@ -108,12 +68,10 @@ class IndependentSignalSampler:
         self.x = x
         self.y = y
         self._p_high = np.minimum(x / np.where(q > 0, q, 1.0), 1.0)
+        self._absent = None if np.all(q > 0) else ~(q > 0)
 
     def sample(self, profile, rng: np.random.Generator) -> int:
-        sig = ComponentSignalVector(
-            rng.random(len(profile)) < self._p_high[np.asarray(profile, dtype=int)]
-        )
-        return to_direct_recommendation(sig, rng)
+        return int(self.sample_many(np.asarray(profile, dtype=int)[None, :], rng)[0])
 
     def sample_many(self, profiles: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         return self.sample_many_detailed(profiles, rng)[0]
@@ -121,6 +79,8 @@ class IndependentSignalSampler:
     def sample_many_detailed(self, profiles: np.ndarray, rng: np.random.Generator):
         """Recommendations plus the underlying HIGH/LOW component matrix."""
         T, n = profiles.shape
+        if self._absent is not None and self._absent[profiles].any():
+            raise ValidationError("profile contains a zero-probability type")
         buf = rng.random((T, n))
         highs = np.empty((T, n), dtype=bool)
         rows = -(-_GATHER_BLOCK // n)  # blocks: no second (T, n) float array

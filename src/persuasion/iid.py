@@ -17,9 +17,10 @@ priority orders of the types (greedy vertices of the Border polytope),
 and AllocationSchemeSampler draws an order per trial and recommends a
 uniformly random action holding the highest-priority type present.
 
-At desk scale, decompose_reduced_form solves a transportation-style LP
-over all m^n type profiles for an explicit AllocationRule, and
-reduced_form_of evaluates a rule exhaustively; both serve as oracles.
+At desk scale, decompose_reduced_form writes the same priority lottery
+out over all m^n type profiles as an explicit AllocationRule, and
+reduced_form_of evaluates a rule exhaustively. Nothing here solves an
+LP; the brute-force feasibility oracle is verify's.
 """
 
 from __future__ import annotations
@@ -32,13 +33,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import (
-    InfeasibleReducedFormError,
-    InstanceTooLargeError,
-    SolverError,
-    ValidationError,
-)
-from .lp import LinearProgram, solve
+from .errors import InfeasibleReducedFormError, InstanceTooLargeError, ValidationError
 from .model import DirectScheme, IIDInstance, InverseCDF, _require_finite
 
 S_SIG_TOL = 1e-9
@@ -83,23 +78,6 @@ class SSignature:
         resid = self.recommended + (self.action_count - 1) * self.other - type_probs
         if np.max(np.abs(resid)) > S_SIG_TOL:
             raise ValidationError("s-signature is inconsistent with the type prior")
-
-
-@dataclass(frozen=True)
-class ReducedForm:
-    """Per-type conditional win probabilities of a symmetric allocation rule."""
-
-    win_probs: np.ndarray
-
-    def __init__(self, win_probs):
-        tau = np.array(win_probs, dtype=float)
-        if tau.ndim != 1 or tau.size == 0:
-            raise ValidationError("reduced form must be a nonempty vector")
-        _require_finite(win_probs=tau)
-        if np.any(tau < -S_SIG_TOL) or np.any(tau > 1.0 + S_SIG_TOL):
-            raise ValidationError("win probabilities must lie in [0, 1]")
-        tau.setflags(write=False)
-        object.__setattr__(self, "win_probs", tau)
 
 
 @dataclass(frozen=True)
@@ -162,11 +140,6 @@ class AllocationRule:
     def bidder_count(self) -> int:
         return self.profiles.shape[1]
 
-    def probability(self, profile) -> np.ndarray:
-        idx = _profile_index(np.asarray(profile, dtype=int)[None, :],
-                             int(self.profiles.max()) + 1)
-        return self.probs[idx[0]]
-
 
 @dataclass(frozen=True)
 class BorderCheck:
@@ -199,8 +172,7 @@ def border_feasible(tau, q, n: int) -> BorderCheck:
     the top sets in tau order, so the m descending prefixes are checked.
     Returns the maximally violating prefix when infeasible.
     """
-    tau = np.asarray(tau.win_probs if isinstance(tau, ReducedForm) else tau,
-                     dtype=float)
+    tau = np.asarray(tau, dtype=float)
     q = np.asarray(q, dtype=float)
     if tau.shape != q.shape:
         raise ValidationError("tau and q must have the same length")
@@ -292,56 +264,6 @@ def solve_s_signature(instance: IIDInstance) -> Tuple[SSignature, float]:
     """
     x, y, value = _greedy_optimum(instance)
     return SSignature(x, y, instance.action_count), value
-
-
-def transport_lp(profiles: np.ndarray, q: np.ndarray, tau: np.ndarray) -> LinearProgram:
-    """Feasibility LP of an allocation rule with reduced form tau.
-
-    Variable t*n + i is bidder i's chance of the item at profile t. One
-    "<=" row per profile caps its total at 1; one "=" row per (bidder i,
-    type j) sets i's prior-weighted wins at type j to q_j * tau_j.
-    """
-    (S, n), m = profiles.shape, q.size
-    A = np.zeros((S + n * m, S, n))
-    A[np.arange(S), np.arange(S)] = 1.0
-    rows = S + np.arange(n) * m + profiles  # (t, i) -> row of (i, type of i at t)
-    A[rows, np.arange(S)[:, None], np.arange(n)] = np.prod(q[profiles], axis=1)[:, None]
-    return LinearProgram(np.zeros(S * n), A=A.reshape(S + n * m, S * n),
-                         relations=np.repeat(["<=", "="], [S, n * m]),
-                         b=np.concatenate([np.ones(S), np.tile(q * tau, n)]))
-
-
-def decompose_reduced_form(tau, q, n: int) -> AllocationRule:
-    """Explicit allocation rule realizing a feasible symmetric reduced form.
-
-    A constant reduced form is realized exactly by the uniform lottery, so
-    that case is closed-form. Otherwise this solves transport_lp over all
-    m^n type profiles: allocation mass per (profile, bidder) is
-    constrained to reproduce tau exactly for every bidder and type.
-    """
-    tau = np.asarray(tau.win_probs if isinstance(tau, ReducedForm) else tau,
-                     dtype=float)
-    q = np.asarray(q, dtype=float)
-    check = border_feasible(tau, q, n)
-    if not check.feasible:
-        raise InfeasibleReducedFormError(check.violating_set)
-    m = q.size
-    profiles = all_profiles(m, n)
-    S = profiles.shape[0]
-    if np.ptp(tau) <= 1e-12 and tau[0] <= 1.0 / n + BORDER_TOL:
-        share = min(tau[0], 1.0 / n)
-        probs = np.full((S, n + 1), share)
-        probs[:, n] = 1.0 - n * share
-        return AllocationRule(profiles, probs)
-
-    out = solve(transport_lp(profiles, q, tau))
-    if out.status != "optimal":
-        raise SolverError(f"decomposition LP ended with status {out.status}")
-    A = np.clip(out.point.reshape(S, n), 0.0, None)
-    none = np.clip(1.0 - A.sum(axis=1), 0.0, None)
-    probs = np.hstack([A, none[:, None]])
-    probs /= probs.sum(axis=1, keepdims=True)
-    return AllocationRule(profiles, probs)
 
 
 def reduced_form_of(rule: AllocationRule, q: np.ndarray) -> np.ndarray:
@@ -444,8 +366,7 @@ def priority_decomposition(tau, q, n: int) -> PriorityMixture:
     BORDER_TOL) gives step 0 and joins the chain, so the search never
     stalls and such a gap is carried, not amplified.
     """
-    tau = np.asarray(tau.win_probs if isinstance(tau, ReducedForm) else tau,
-                     dtype=float)
+    tau = np.asarray(tau, dtype=float)
     q = np.asarray(q, dtype=float)
     check = border_feasible(tau, q, n)
     if not check.feasible:
@@ -514,6 +435,35 @@ def _step_length(resid, v, q_ext, n, mass, block):
     return t, binding
 
 
+def _ranks(orders: np.ndarray) -> np.ndarray:
+    """ranks[k, j]: position of symbol j (a type, or m for "keep") in order k."""
+    ranks = np.empty_like(orders)
+    np.put_along_axis(ranks, orders, np.arange(orders.shape[1])[None, :], axis=1)
+    return ranks
+
+
+def decompose_reduced_form(tau, q, n: int) -> AllocationRule:
+    """priority_decomposition's lottery written out over all m^n profiles.
+
+    Rule k gives the item to a uniformly random holder of the
+    highest-ranked type present, or keeps it when "keep" ranks above every
+    type present; probs[t] is the weighted sum of the rules at profile t.
+    Raises InfeasibleReducedFormError when tau fails the Border check.
+    """
+    q = np.asarray(q, dtype=float)
+    mixture = priority_decomposition(tau, q, n)
+    m = q.size
+    profiles = all_profiles(m, n)
+    # "keep" is an extra bidder who always holds the symbol m
+    holding = np.hstack([profiles, np.full((profiles.shape[0], 1), m)])
+    probs = np.zeros(holding.shape)
+    for weight, rank in zip(mixture.weights, _ranks(mixture.orders)):
+        ranks = rank[holding]
+        holders = ranks == ranks.min(axis=1, keepdims=True)
+        probs += weight * holders / holders.sum(axis=1, keepdims=True)
+    return AllocationRule(profiles, probs)
+
+
 class AllocationSchemeSampler:
     """Signal sampler implementing a realizable s-signature.
 
@@ -549,9 +499,7 @@ class AllocationSchemeSampler:
         self.mixture = mixture
         # rank[k*m + j]: position of type j in order k; zero-probability
         # types never occur in drawn profiles and are rejected if given
-        rank = np.empty_like(mixture.orders)
-        np.put_along_axis(rank, mixture.orders, np.arange(m + 1)[None, :], axis=1)
-        self._rank = rank[:, :m].ravel().astype(np.min_scalar_type(m))
+        self._rank = _ranks(mixture.orders)[:, :m].ravel().astype(np.min_scalar_type(m))
         self._rule_of = InverseCDF(mixture.weights)
         self._absent = None if live.all() else ~live
 
@@ -574,26 +522,6 @@ class AllocationSchemeSampler:
             np.copyto(out, j, where=holders[j] & (skip == 0))
             skip -= holders[j]
         return out
-
-
-def scheme_from_allocation(instance: IIDInstance, ssig: SSignature,
-                           rule: AllocationRule) -> AllocationSchemeSampler:
-    """Sampler with s-signature (x, y), after checking an explicit rule.
-
-    The rule's exhaustive reduced form must match x / q within
-    REDUCED_FORM_MATCH_TOL; the sampler itself is implement_s_signature's
-    priority sampler, which realizes the same reduced form.
-    """
-    work, keep = _drop_zero_types(instance)
-    if rule.bidder_count != work.action_count or rule.profiles.max() >= work.type_count:
-        raise ValidationError("allocation rule does not match the instance")
-    got = reduced_form_of(rule, work.type_probs)
-    if np.max(np.abs(got - ssig.recommended[keep] / work.type_probs)) \
-            > REDUCED_FORM_MATCH_TOL:
-        raise ValidationError(
-            "allocation rule's reduced form does not match the s-signature"
-        )
-    return implement_s_signature(instance, ssig)
 
 
 def implement_s_signature(instance: IIDInstance,

@@ -16,7 +16,7 @@ from .errors import DimensionError, ValidationError
 
 PROB_SUM_TOL = 1e-12
 ROW_SUM_TOL = 1e-9
-TIE_TOL = 1e-9  # absolute; payoffs are O(1)-scaled everywhere in this package
+TIE_TOL = 1e-9  # absolute: instances accept any payoff scale, and gaps below this merge
 IC_TOL = 1e-9
 
 

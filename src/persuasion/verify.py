@@ -6,7 +6,10 @@ three states exactly, as the concave envelope of the posterior value over
 the vertices of the best-response arrangement; realizability_check
 decides whether a claimed signature is achievable by any scheme at all;
 and monte_carlo_eval estimates utility and incentive slacks of an
-arbitrary signal sampler by simulation.
+arbitrary signal sampler by simulation. allocation_exists_bruteforce
+decides realizability of a symmetric reduced form by a transportation LP
+over all type profiles, sharing nothing with border_feasible or with
+iid's priority decomposition.
 
 A simulation costs O(trials * actions) numpy work in three stages: the
 source draws state indices or type profiles through a table-driven
@@ -30,7 +33,7 @@ import numpy as np
 from .blackbox import SampleOracle
 from .errors import InstanceTooLargeError, SolverError, ValidationError
 from .exact import honest_scheme, no_information_scheme
-from .iid import Signature, all_profiles, transport_lp
+from .iid import Signature, all_profiles
 from .khintchine import TwoSignalSignature, membership_check
 from .lp import LinearProgram, solve
 from .model import (
@@ -303,19 +306,35 @@ def realizability_check(signature: Union[Signature, TwoSignalSignature],
     raise SolverError(f"realizability LP ended with status {out.status}")
 
 
+def _transport_lp(profiles: np.ndarray, q: np.ndarray, tau: np.ndarray) -> LinearProgram:
+    """Feasibility LP of an allocation rule with reduced form tau.
+
+    Variable t*n + i is bidder i's chance of the item at profile t. One
+    "<=" row per profile caps its total at 1; one "=" row per (bidder i,
+    type j) sets i's prior-weighted wins at type j to q_j * tau_j.
+    """
+    (S, n), m = profiles.shape, q.size
+    A = np.zeros((S + n * m, S, n))
+    A[np.arange(S), np.arange(S)] = 1.0
+    rows = S + np.arange(n) * m + profiles  # (t, i) -> row of (i, type of i at t)
+    A[rows, np.arange(S)[:, None], np.arange(n)] = np.prod(q[profiles], axis=1)[:, None]
+    return LinearProgram(np.zeros(S * n), A=A.reshape(S + n * m, S * n),
+                         relations=np.repeat(["<=", "="], [S, n * m]),
+                         b=np.concatenate([np.ones(S), np.tile(q * tau, n)]))
+
+
 def allocation_exists_bruteforce(tau, q, n: int) -> bool:
     """Flow-style feasibility oracle for symmetric reduced forms.
 
     Decides directly, by a transportation LP over all m^n type profiles
-    (iid.transport_lp, the program decompose_reduced_form solves), whether
-    any allocation rule gives every bidder of type j the item with
-    conditional probability tau[j]. Used to cross-check the subset
-    inequalities of border_feasible: it shares the program with the
-    decomposition, never the decision, so it does not call border_feasible.
+    (_transport_lp), whether any allocation rule gives every bidder of
+    type j the item with conditional probability tau[j]. Used to
+    cross-check the subset inequalities of border_feasible, so it calls
+    neither border_feasible nor the priority decomposition.
     """
     tau = np.asarray(tau, dtype=float)
     q = np.asarray(q, dtype=float)
-    out = solve(transport_lp(all_profiles(q.size, n, cap=ORACLE_PROFILE_CAP), q, tau))
+    out = solve(_transport_lp(all_profiles(q.size, n, cap=ORACLE_PROFILE_CAP), q, tau))
     if out.status == "optimal":
         return True
     if out.status == "infeasible":

@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 
 from persuasion import fixtures
-from persuasion.approx import (
-    ComponentSignalVector,
-    IndependentSignalSampler,
-    independent_signal,
-    solve_relaxation,
-    to_direct_recommendation,
-)
+from persuasion.approx import IndependentSignalSampler, solve_relaxation
 from persuasion.errors import ValidationError
 from persuasion.model import IIDInstance
 
@@ -76,43 +70,52 @@ def test_relaxation_upper_bounds_optimum():
 def test_independent_signal_uniform_x():
     inst = fixtures.investor()
     q = inst.type_probs
+    sampler = IndependentSignalSampler(inst, q / 2, q / 2)
     rng = np.random.default_rng(63)
-    hits = 0
-    trials = 30000
-    for _ in range(trials):
-        sig = independent_signal(q / 2, q / 2, q, [0, 2], rng)
-        hits += int(sig.high[0])
-    assert hits / trials == pytest.approx(0.5, abs=0.02)
+    _, highs = sampler.sample_many_detailed(np.tile([0, 2], (30000, 1)), rng)
+    assert highs[:, 0].mean() == pytest.approx(0.5, abs=0.02)
 
 
 def test_independent_signal_deterministic_revelation():
-    q = np.array([0.5, 0.5])
-    x = np.array([0.5, 0.0])
-    rng = np.random.default_rng(64)
-    sig = independent_signal(x, q - x, q, [0, 1], rng)
-    assert bool(sig.high[0]) and not bool(sig.high[1])
+    inst = IIDInstance(2, [0.5, 0.5], [1.0, 0.0], [1.0, 0.0])
+    sampler = IndependentSignalSampler(inst, [0.5, 0.0], [0.0, 0.5])
+    recs, highs = sampler.sample_many_detailed(np.array([[0, 1], [1, 0]]),
+                                               np.random.default_rng(64))
+    np.testing.assert_array_equal(highs, [[True, False], [False, True]])
+    np.testing.assert_array_equal(recs, [0, 1])
 
 
 def test_independent_signal_rejects_x_above_q():
+    inst = IIDInstance(2, [0.5, 0.5], [1.0, 0.0], [1.0, 0.0])
     with pytest.raises(ValidationError):
-        independent_signal([0.6, 0.0], [0.0, 0.4], [0.5, 0.5], [0, 1],
-                           np.random.default_rng(0))
+        IndependentSignalSampler(inst, [0.6, 0.0], [0.0, 0.4])
 
 
 def test_recommendation_rules():
+    # type 0 is always HIGH and type 1 never: a HIGH action is recommended
+    # when there is one, uniformly among the HIGH ones; otherwise any action
+    inst = IIDInstance(3, [0.5, 0.5], [1.0, 0.0], [1.0, 0.0])
+    sampler = IndependentSignalSampler(inst, [0.5, 0.0], [0.0, 0.5])
     rng = np.random.default_rng(65)
-    assert to_direct_recommendation(ComponentSignalVector([True, False]), rng) == 0
-    picks = [
-        to_direct_recommendation(ComponentSignalVector([False, False]), rng)
-        for _ in range(4000)
-    ]
-    assert abs(np.mean(picks) - 0.5) < 0.05
-    picks = [
-        to_direct_recommendation(ComponentSignalVector([True, True, False]), rng)
-        for _ in range(4000)
-    ]
+    assert sampler.sample([0, 1, 1], rng) == 0
+    picks = sampler.sample_many(np.tile([1, 1, 1], (4000, 1)), rng)
+    assert abs(np.mean(picks == 2) - 1.0 / 3.0) < 0.05
+    assert abs(np.mean(picks == 0) - 1.0 / 3.0) < 0.05
+    picks = sampler.sample_many(np.tile([0, 0, 1], (4000, 1)), rng)
     assert set(picks) == {0, 1}
     assert abs(np.mean(picks) - 0.5) < 0.05
+
+
+def test_zero_probability_types_are_rejected():
+    inst = IIDInstance(3, [0.5, 0.0, 0.5], [0.0, 9.9, 1.0], [1.0, -5.0, 0.0])
+    with pytest.warns(UserWarning):
+        sampler = IndependentSignalSampler(inst)
+    rng = np.random.default_rng(0)
+    assert sampler.sample([0, 2, 2], rng) in (0, 1, 2)
+    with pytest.raises(ValidationError, match="zero-probability"):
+        sampler.sample([0, 1, 2], rng)
+    with pytest.raises(ValidationError, match="zero-probability"):
+        sampler.sample_many(np.array([[0, 2, 2], [2, 2, 1]]), rng)
 
 
 def test_investor_high_marginal_is_half():

@@ -20,7 +20,7 @@ from persuasion.files import (
     save_instance,
     save_scheme,
 )
-from persuasion.model import DirectScheme, ExplicitInstance, audit
+from persuasion.model import DirectScheme, ExplicitInstance, IIDInstance, audit
 
 
 def same_instance(a, b):
@@ -183,6 +183,20 @@ def test_cli_signal_subcommand(tmp_path):
                   "--scheme", str(scheme), "--state", "1,0", "--seed", "5")
     assert res.returncode == 0
     assert res.stdout.startswith(b"signal ")
+
+
+@pytest.mark.parametrize("method", ["iid-approx", "iid-opt"])
+def test_cli_signal_rejects_a_zero_probability_type(tmp_path, method):
+    inst = tmp_path / "inst.json"
+    save_instance(IIDInstance(3, [0.5, 0.0, 0.5], [0.0, 9.9, 1.0], [1.0, 5.0, 0.0]), inst)
+    scheme = tmp_path / "scheme.json"
+    res = run_cli("solve", "--input", str(inst), "--method", method, "--output", str(scheme))
+    assert res.returncode == 0
+    signal = ("signal", "--input", str(inst), "--scheme", str(scheme), "--seed", "5")
+    assert run_cli(*signal, "--state", "0,2,2").returncode == 0
+    res = run_cli(*signal, "--state", "0,1,2")
+    assert res.returncode == 1
+    assert b"zero-probability" in res.stderr
 
 
 def test_cli_domain_error_exits_1():

@@ -21,7 +21,6 @@ from persuasion.iid import (
     priority_decomposition,
     reduced_form_of,
     s_signature_of,
-    scheme_from_allocation,
     signature_of,
     solve_s_signature,
     symmetrize,
@@ -189,12 +188,18 @@ def test_solvers_make_no_lp_call(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("lp.solve was called")
 
+    assert not hasattr(iid, "solve") and not hasattr(approx, "solve")
     monkeypatch.setattr(persuasion.lp, "solve", refuse)
-    monkeypatch.setattr(iid, "solve", refuse)
-    monkeypatch.setattr(approx, "solve", refuse, raising=False)
+    decomposed = 0
     for inst in _scan(12, 40, (1, 30), (1, 8)):
-        solve_s_signature(inst)
+        ssig, _ = solve_s_signature(inst)
         solve_relaxation(inst)
+        implement_s_signature(inst, ssig)
+        n, q = inst.action_count, inst.type_probs
+        if q.size ** n <= iid.PROFILE_CAP:
+            decompose_reduced_form(ssig.recommended / q, q, n)
+            decomposed += 1
+    assert decomposed > 0
 
 
 def test_single_action_other_vector_is_the_prior():
@@ -249,9 +254,11 @@ def test_border_agrees_with_bruteforce():
 # decomposition
 
 
-def test_decompose_uniform_gives_uniform_lottery():
+def test_decompose_constant_reduced_form_always_allocates():
     rule = decompose_reduced_form(np.full(3, 0.5), np.full(3, 1.0 / 3.0), 2)
-    np.testing.assert_allclose(rule.probs[:, :2], np.full((9, 2), 0.5), atol=1e-12)
+    np.testing.assert_array_equal(rule.probs[:, 2], 0.0)
+    got = reduced_form_of(rule, np.full(3, 1.0 / 3.0))
+    np.testing.assert_allclose(got, np.full((2, 3), 0.5), rtol=0, atol=1e-12)
 
 
 def test_decompose_matches_explicit_construction():
@@ -311,14 +318,6 @@ def test_scheme_uninformative_signature_statistics():
     assert abs((recs == 0).mean() - 0.5) < 0.02
 
 
-def test_scheme_reduced_form_mismatch_rejected():
-    inst = IIDInstance(2, [0.5, 0.5], [1.0, 0.0], [0.3, 0.9])
-    ssig = SSignature([0.375, 0.125], [0.125, 0.375], 2)
-    rule = decompose_reduced_form([0.5, 0.5], inst.type_probs, 2)
-    with pytest.raises(ValidationError):
-        scheme_from_allocation(inst, ssig, rule)
-
-
 def test_investor_sampler_hits_target_utility():
     inst = fixtures.investor()
     ssig, value = solve_s_signature(inst)
@@ -338,7 +337,7 @@ def test_investor_sampler_hits_target_utility():
 
 def _explicit_rule(mixture, m, n):
     """The mixture over all m^n profiles, written out profile by profile."""
-    profiles = all_profiles(m, n, cap=256)
+    profiles = all_profiles(m, n)
     probs = np.zeros((profiles.shape[0], n + 1))
     for weight, order in zip(mixture.weights, mixture.orders):
         rank = np.empty(m + 1, dtype=int)
@@ -361,6 +360,21 @@ def _assert_realizes(tau, q, n, atol=1e-9):
     got = reduced_form_of(_explicit_rule(mix, q.size, n), q)
     np.testing.assert_allclose(got, np.tile(tau, (n, 1)), rtol=0, atol=atol)
     return mix
+
+
+@pytest.mark.parametrize("n, m", [(4, 3), (5, 4), (6, 3), (4, 6), (11, 2)])
+def test_decompose_writes_out_the_priority_lottery(n, m):
+    # (11, 2) has 2048 profiles, the PROFILE_CAP
+    inst = fixtures.random_iid(np.random.default_rng([1412, n, m]), actions=n, types=m)
+    ssig, _ = solve_s_signature(inst)
+    q = inst.type_probs
+    tau = ssig.recommended / q
+    rule = decompose_reduced_form(tau, q, n)
+    ref = _explicit_rule(priority_decomposition(tau, q, n), m, n)
+    np.testing.assert_array_equal(rule.profiles, ref.profiles)
+    np.testing.assert_allclose(rule.probs, ref.probs, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(reduced_form_of(rule, q), np.tile(tau, (n, 1)),
+                               rtol=0, atol=1e-12)
 
 
 def test_priority_decomposition_of_random_feasible_draws():
@@ -495,17 +509,6 @@ def test_investor_mixture_is_the_unique_priority_lottery():
     mix = implement_s_signature(inst, ssig).mixture
     np.testing.assert_array_equal(mix.weights, [1.0])
     np.testing.assert_array_equal(mix.orders, [[1, 2, 0, 3]])
-
-
-def test_scheme_from_allocation_returns_the_priority_sampler():
-    inst = fixtures.investor()
-    ssig, _ = solve_s_signature(inst)
-    rule = decompose_reduced_form(ssig.recommended / inst.type_probs, inst.type_probs, 2)
-    sampler = scheme_from_allocation(inst, ssig, rule)
-    assert isinstance(sampler, AllocationSchemeSampler)
-    ref = implement_s_signature(inst, ssig).mixture
-    np.testing.assert_array_equal(sampler.mixture.weights, ref.weights)
-    np.testing.assert_array_equal(sampler.mixture.orders, ref.orders)
 
 
 def test_zero_probability_types_rank_last_and_are_rejected():

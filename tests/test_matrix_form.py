@@ -285,17 +285,10 @@ def _reduced_forms():
 
 
 def test_transport_lp_matches_row_builder(monkeypatch):
-    decomposed = 0
     for tau, q, n in _reduced_forms():
         (new,) = _recorded(monkeypatch, verify,
                            lambda: verify.allocation_exists_bruteforce(tau, q, n))
         _same_program(new, _rows_transport_lp(tau, q, n, 4096))
-        if border_feasible(tau, q, n).feasible and np.ptp(tau) > 1e-12:
-            (new,) = _recorded(monkeypatch, iid,
-                               lambda: iid.decompose_reduced_form(tau, q, n))
-            _same_program(new, _rows_transport_lp(tau, q, n, iid.PROFILE_CAP))
-            decomposed += 1
-    assert decomposed > 0
 
 
 def test_realizability_lp_matches_row_builder(monkeypatch):

@@ -78,8 +78,7 @@ def _value_objects(bad):
     """Each value-object constructor, called on otherwise valid input with
     one entry replaced by bad."""
     from persuasion.approx import IndependentSignalSampler
-    from persuasion.iid import (AllocationRule, PriorityMixture, ReducedForm,
-                                Signature, SSignature)
+    from persuasion.iid import AllocationRule, PriorityMixture, Signature, SSignature
     from persuasion.khintchine import TwoSignalSignature
 
     quarter = np.full((2, 2, 2), 0.25)
@@ -88,7 +87,6 @@ def _value_objects(bad):
     return {
         "DirectScheme": lambda: DirectScheme([[0.5, 0.5], [bad, 1.0]]),
         "SSignature": lambda: SSignature([bad, 0.5], [0.25, 0.25], 2),
-        "ReducedForm": lambda: ReducedForm([bad, 0.3]),
         "Signature": lambda: Signature(quarter),
         "PriorityMixture": lambda: PriorityMixture([bad, 1.0], [[0, 1], [1, 0]]),
         "AllocationRule": lambda: AllocationRule([[0], [1]], [[bad, 0.0], [1.0, 0.0]]),
