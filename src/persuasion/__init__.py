@@ -31,7 +31,6 @@ from .model import (
 from .exact import (
     ExactSolution,
     expand_product,
-    full_information_scheme,
     honest_scheme,
     no_information_scheme,
     profiles_of,
@@ -43,6 +42,7 @@ from .iid import (
     PriorityMixture,
     Signature,
     SSignature,
+    SymmetrizedSampler,
     border_feasible,
     decompose_reduced_form,
     implement_s_signature,
@@ -52,7 +52,6 @@ from .iid import (
     signature_of,
     solve_s_signature,
     symmetrize,
-    symmetrized_sampler,
 )
 from .approx import IndependentSignalSampler, solve_relaxation
 from .blackbox import (
@@ -60,7 +59,6 @@ from .blackbox import (
     EmpiricalScheme,
     ExplicitOracle,
     SampleOracle,
-    blackbox_signal,
     sample_count,
     solve_empirical_lp,
 )
@@ -68,7 +66,6 @@ from .khintchine import (
     TwoSignalSignature,
     khintchine_constant,
     khintchine_lp_witness,
-    membership_check,
     solve_khintchine_lp,
 )
 from .verify import (

@@ -113,13 +113,7 @@ class EmpiricalScheme:
 
 
 def _as_sample_arrays(samples) -> Tuple[np.ndarray, np.ndarray]:
-    if isinstance(samples, tuple) and len(samples) == 2:
-        s, r = samples
-    else:
-        s = np.array([p[0] for p in samples], dtype=float)
-        r = np.array([p[1] for p in samples], dtype=float)
-    s = np.atleast_2d(np.asarray(s, dtype=float))
-    r = np.atleast_2d(np.asarray(r, dtype=float))
+    s, r = (np.atleast_2d(np.asarray(a, dtype=float)) for a in samples)
     if s.shape != r.shape or s.ndim != 2 or s.shape[0] < 1:
         raise ValidationError("samples must be matching (k, n) payoff arrays")
     if not (np.all(np.abs(s) <= PAYOFF_BOUND) and np.all(np.abs(r) <= PAYOFF_BOUND)):
@@ -148,6 +142,7 @@ def _bucket_rows(rows: np.ndarray):
 def solve_empirical_lp(samples, epsilon: float) -> EmpiricalScheme:
     """Relaxed empirical signaling LP over a sample multiset.
 
+    samples is a (sender, receiver) pair of (K, n) payoff arrays.
     Identical samples are bucketed into one weighted state before solving,
     which leaves the program unchanged (an optimal solution always exists
     with equal rows on identical states) and keeps the LP small when the
@@ -187,18 +182,6 @@ def _check_empirical_ic(phi_b, ur, w, epsilon):
         )
 
 
-def blackbox_signal(oracle: SampleOracle, state, epsilon: float, K: int,
-                    rng: np.random.Generator) -> int:
-    """One invocation of the sample-and-solve scheme for a realized state.
-
-    state is the (sender, receiver) payoff pair of the realized state of
-    nature. Draws K-1 fresh oracle samples, inserts the real state at a
-    uniform position, solves the empirical LP, and samples that row: one
-    call of a fresh BlackboxSampler, so both consume randomness alike.
-    """
-    return BlackboxSampler(oracle, epsilon, K).sample(state, rng)
-
-
 class BlackboxSampler:
     """Reusable sample-and-solve sampler with fixed oracle, epsilon, and K.
 
@@ -222,6 +205,7 @@ class BlackboxSampler:
         self.last_value: Optional[float] = None
 
     def sample(self, state, rng: np.random.Generator) -> int:
+        """One invocation of the scheme for a realized (sender, receiver) pair."""
         s_real, r_real = state
         pos = int(rng.integers(self.K))
         s_fresh, r_fresh = self.oracle.draw_batch(self.K - 1, rng)

@@ -20,7 +20,7 @@ from . import fixtures
 from .approx import IndependentSignalSampler, solve_relaxation
 from .blackbox import BlackboxSampler, ExplicitOracle, sample_count
 from .errors import PersuasionError, ValidationError
-from .exact import expand_product, profiles_of, solve_exact
+from .exact import expand_product, profiles_of, solve_exact, type_counts
 from .files import (
     SchemeRecord,
     dumps,
@@ -109,7 +109,7 @@ def _parse_state(instance, text: str):
         raise ValidationError(
             f"need one type per action ({instance.action_count} values)"
         )
-    if any(not 0 <= v < instance.type_count for v in values):
+    if any(not 0 <= v < k for v, k in zip(values, type_counts(instance))):
         raise ValidationError("type index out of range")
     return values
 
@@ -131,22 +131,14 @@ def _cmd_signal(args) -> int:
             except ValueError as exc:
                 raise ValidationError(f"state {state} not in scheme ordering") from exc
         signal = DirectSchemeSampler(DirectScheme(record.phi)).sample(row_index, rng)
-    elif record.method == "iid-approx":
-        if not isinstance(instance, IIDInstance):
-            raise ValidationError("s-signature schemes need an iid instance")
-        sampler = IndependentSignalSampler(
-            instance,
-            np.array(record.s_signature["x"]),
-            np.array(record.s_signature["y"]),
-        )
-        signal = sampler.sample(state, rng)
     else:
         if not isinstance(instance, IIDInstance):
             raise ValidationError("s-signature schemes need an iid instance")
-        ssig = SSignature(
-            record.s_signature["x"], record.s_signature["y"], instance.action_count
-        )
-        sampler = implement_s_signature(instance, ssig)
+        x, y = (np.array(record.s_signature[k]) for k in ("x", "y"))
+        if record.method == "iid-approx":
+            sampler = IndependentSignalSampler(instance, x, y)
+        else:
+            sampler = implement_s_signature(instance, SSignature(x, y, instance.action_count))
         signal = sampler.sample(state, rng)
     print(f"signal {signal}")
     return 0

@@ -6,12 +6,13 @@ optionally relaxed by an additive epsilon on the deviation payoffs.
 expand_product turns i.i.d. or independent instances into their explicit
 product form so the exact solver can serve as a ground-truth oracle at
 desk scale; the state count grows as the product of the per-action type
-counts, so the expansion is capped.
+counts, so the expansion is capped. type_profiles defines that product
+order for the whole package.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -99,36 +100,49 @@ def solve_exact(instance: ExplicitInstance, epsilon: float = 0.0) -> ExactSoluti
     return ExactSolution(scheme=scheme, value=float(out.value), audit=report)
 
 
+def type_profiles(sizes, cap: int) -> np.ndarray:
+    """All type profiles over per-action type counts, in product order.
+
+    Row t holds one type per action, action 0 the most significant digit,
+    as in itertools.product: profile p is row np.ravel_multi_index(p, sizes).
+    Raises InstanceTooLargeError when there are more than cap profiles.
+    """
+    total = math.prod(int(k) for k in sizes)
+    if total > cap:
+        raise InstanceTooLargeError(total, cap)
+    return np.ascontiguousarray(np.indices(sizes).reshape(len(sizes), total).T)
+
+
+def type_counts(instance: Union[IIDInstance, IndependentInstance]) -> list:
+    """Per-action type counts: the sizes of the instance's product order."""
+    if isinstance(instance, IIDInstance):
+        return [instance.type_count] * instance.action_count
+    if isinstance(instance, IndependentInstance):
+        return [m.type_probs.size for m in instance.marginals]
+    raise ValidationError("type profiles need an IID or independent instance")
+
+
+def profiles_of(instance: Union[IIDInstance, IndependentInstance]) -> np.ndarray:
+    """Type profiles in the state order used by expand_product."""
+    return type_profiles(type_counts(instance), STATE_CAP)
+
+
 def expand_product(instance: Union[IIDInstance, IndependentInstance],
                    cap: int = STATE_CAP) -> ExplicitInstance:
     """Explicit product-form instance with one state per type profile."""
+    profiles = type_profiles(type_counts(instance), cap)
     if isinstance(instance, IIDInstance):
         marginals = [Marginal(instance.type_probs, instance.sender_payoffs,
                               instance.receiver_payoffs)] * instance.action_count
-    elif isinstance(instance, IndependentInstance):
-        marginals = list(instance.marginals)
     else:
-        raise ValidationError("expand_product needs an IID or independent instance")
-    sizes = [m.type_probs.size for m in marginals]
-    total = int(np.prod(sizes, dtype=np.int64))
-    if total > cap:
-        raise InstanceTooLargeError(total, cap)
-    columns = list(zip(marginals, profiles_of(instance).T))
-    probs = np.ones(total)
+        marginals = instance.marginals
+    columns = list(zip(marginals, profiles.T))
+    probs = np.ones(profiles.shape[0])
     for m, types in columns:  # multiplied in action order, as 1.0 * q0 * q1 ...
         probs *= m.type_probs[types]
     sender = np.column_stack([m.sender_payoffs[types] for m, types in columns])
     receiver = np.column_stack([m.receiver_payoffs[types] for m, types in columns])
     return ExplicitInstance(probs, sender, receiver)
-
-
-def profiles_of(instance: Union[IIDInstance, IndependentInstance]) -> np.ndarray:
-    """Type profiles in the state order used by expand_product."""
-    if isinstance(instance, IIDInstance):
-        sizes = [instance.type_count] * instance.action_count
-    else:
-        sizes = [m.type_probs.size for m in instance.marginals]
-    return np.array(list(itertools.product(*(range(k) for k in sizes))), dtype=int)
 
 
 def honest_scheme(instance: ExplicitInstance) -> DirectScheme:
@@ -142,8 +156,3 @@ def no_information_scheme(instance: ExplicitInstance) -> DirectScheme:
     i = best_response(instance.state_probs @ instance.receiver_payoffs,
                       instance.state_probs @ instance.sender_payoffs)
     return DirectScheme(np.eye(instance.action_count)[np.full(instance.state_count, i)])
-
-
-def full_information_scheme(instance: ExplicitInstance) -> DirectScheme:
-    """One signal per state (not a direct scheme; reveals everything)."""
-    return DirectScheme(np.eye(instance.state_count))

@@ -19,8 +19,10 @@ uniformly random action holding the highest-priority type present.
 
 At desk scale, decompose_reduced_form writes the same priority lottery
 out over all m^n type profiles as an explicit AllocationRule, and
-reduced_form_of evaluates a rule exhaustively. Nothing here solves an
-LP; the brute-force feasibility oracle is verify's.
+reduced_form_of evaluates a rule exhaustively. signature_map is the
+linear map from schemes to signatures over those profiles, on which
+verify.realizability_check and the Khintchine LP build their programs.
+Nothing here solves an LP; the brute-force feasibility oracle is verify's.
 """
 
 from __future__ import annotations
@@ -33,7 +35,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import InfeasibleReducedFormError, InstanceTooLargeError, ValidationError
+from .errors import InfeasibleReducedFormError, ValidationError
+from .exact import type_profiles
 from .model import DirectScheme, IIDInstance, InverseCDF, _require_finite
 
 S_SIG_TOL = 1e-9
@@ -82,14 +85,17 @@ class SSignature:
 
 @dataclass(frozen=True)
 class Signature:
-    """Per-signal joint matrices M[i][j, k] = Pr[signal i and action j has type k]."""
+    """Per-signal joint matrices M[i][j, k] = Pr[signal i and action j has type k].
+
+    A direct scheme has one signal per action; any count is accepted.
+    """
 
     matrices: np.ndarray
 
     def __init__(self, matrices, type_probs=None):
         M = np.array(matrices, dtype=float)
-        if M.ndim != 3 or M.shape[0] != M.shape[1]:
-            raise ValidationError("signature must be n matrices of shape (n, m)")
+        if M.ndim != 3:
+            raise ValidationError("signature must be matrices of shape (n, m), one per signal")
         _require_finite(matrices=M)
         row_sums = M.sum(axis=2)
         if np.max(np.abs(row_sums - row_sums[:, :1])) > S_SIG_TOL:
@@ -148,19 +154,6 @@ class BorderCheck:
     feasible: bool
     violating_set: Optional[Tuple[int, ...]] = None
     gap: float = 0.0
-
-
-def _profile_index(profiles: np.ndarray, m: int) -> np.ndarray:
-    n = profiles.shape[1]
-    weights = m ** np.arange(n - 1, -1, -1)
-    return profiles @ weights
-
-
-def all_profiles(m: int, n: int, cap: int = PROFILE_CAP) -> np.ndarray:
-    total = m ** n
-    if total > cap:
-        raise InstanceTooLargeError(total, cap)
-    return np.array(list(itertools.product(range(m), repeat=n)), dtype=int)
 
 
 def border_feasible(tau, q, n: int) -> BorderCheck:
@@ -453,7 +446,7 @@ def decompose_reduced_form(tau, q, n: int) -> AllocationRule:
     q = np.asarray(q, dtype=float)
     mixture = priority_decomposition(tau, q, n)
     m = q.size
-    profiles = all_profiles(m, n)
+    profiles = type_profiles([m] * n, PROFILE_CAP)
     # "keep" is an extra bidder who always holds the symbol m
     holding = np.hstack([profiles, np.full((profiles.shape[0], 1), m)])
     probs = np.zeros(holding.shape)
@@ -547,7 +540,7 @@ def implement_s_signature(instance: IIDInstance,
 def signature_of(instance: IIDInstance, scheme: DirectScheme) -> Signature:
     """Signature of a scheme given over the product expansion's states."""
     n, m = instance.action_count, instance.type_count
-    profiles = all_profiles(m, n, cap=max(PROFILE_CAP, scheme.state_count))
+    profiles = type_profiles([m] * n, max(PROFILE_CAP, scheme.state_count))
     if scheme.state_count != profiles.shape[0]:
         raise ValidationError("scheme rows must cover the product expansion")
     if scheme.signal_count != n:
@@ -559,6 +552,25 @@ def signature_of(instance: IIDInstance, scheme: DirectScheme) -> Signature:
         for j in range(n):
             M[i, j] = np.bincount(profiles[:, j], weights=w, minlength=m)
     return Signature(M, type_probs=instance.type_probs)
+
+
+def signature_map(q, n: int, signals: int, cap: int) -> np.ndarray:
+    """Linear map from schemes on n i.i.d. actions to their signatures.
+
+    Returns the (signals * n * m, S, signals) array A over the S = m^n
+    type profiles with A[(i*n + j)*m + k, t, i] = lam_t, the prior of
+    profile t, where action j has type k in t, and 0 elsewhere: summing
+    A[r] * phi over (t, i) gives entry r of the flattened signature of
+    the scheme phi. Raises InstanceTooLargeError when S exceeds cap.
+    """
+    q = np.asarray(q, dtype=float)
+    m = q.size
+    profiles = type_profiles([m] * n, cap)
+    S = profiles.shape[0]
+    A = np.zeros((signals * n * m, S, signals))
+    i, j = np.arange(signals)[:, None, None], np.arange(n)[None, :, None]
+    A[(i * n + j) * m + profiles.T, np.arange(S), i] = np.prod(q[profiles], axis=1)
+    return A
 
 
 def s_signature_of(instance: IIDInstance, scheme: DirectScheme) -> SSignature:
@@ -580,16 +592,16 @@ def symmetrize(instance: IIDInstance, scheme: DirectScheme) -> DirectScheme:
     Preserves sender utility and incentive compatibility, and the result's
     signature has identical recommended rows and identical other rows.
     Materializing the average needs n! passes, so this requires n <= 6;
-    for larger n use symmetrized_sampler, which draws one permutation per
+    for larger n use SymmetrizedSampler, which draws one permutation per
     invocation instead.
     """
     n, m = instance.action_count, instance.type_count
     if n > FACTORIAL_CAP:
         raise ValidationError(
             f"n={n} is too large to average over {n}! permutations; "
-            "use symmetrized_sampler instead"
+            "use SymmetrizedSampler instead"
         )
-    profiles = all_profiles(m, n, cap=max(PROFILE_CAP, scheme.state_count))
+    profiles = type_profiles([m] * n, max(PROFILE_CAP, scheme.state_count))
     if scheme.state_count != profiles.shape[0]:
         raise ValidationError("scheme rows must cover the product expansion")
     if scheme.signal_count != n:
@@ -601,7 +613,7 @@ def symmetrize(instance: IIDInstance, scheme: DirectScheme) -> DirectScheme:
         inv[p] = np.arange(n)
         # relabeled copy: signal i on profile theta is signal inv[i] on the
         # profile whose slot j holds theta[p[j]]
-        rows = _profile_index(profiles[:, p], m)
+        rows = np.ravel_multi_index(profiles[:, p].T, (m,) * n)
         out += scheme.phi[rows][:, inv]
     out /= math.factorial(n)
     return DirectScheme(out)
@@ -613,16 +625,11 @@ class SymmetrizedSampler:
     def __init__(self, instance: IIDInstance, scheme: DirectScheme):
         self.instance = instance
         self.scheme = scheme
-        self._m = instance.type_count
+        self._dims = (instance.type_count,) * instance.action_count
 
     def sample(self, profile, rng: np.random.Generator) -> int:
-        n = self.instance.action_count
-        perm = rng.permutation(n)
+        perm = rng.permutation(len(self._dims))
         prof = np.asarray(profile, dtype=int)[perm]
-        row = self.scheme.phi[int(_profile_index(prof[None, :], self._m)[0])]
+        row = self.scheme.phi[np.ravel_multi_index(prof, self._dims)]
         signal = int(rng.choice(row.size, p=row / row.sum()))
         return int(perm[signal])
-
-
-def symmetrized_sampler(instance: IIDInstance, scheme: DirectScheme) -> SymmetrizedSampler:
-    return SymmetrizedSampler(instance, scheme)

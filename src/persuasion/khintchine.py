@@ -5,7 +5,10 @@ with two independent routes at desk scale: direct enumeration of all 2^n
 sign vectors, and a linear program over realizable two-signal signatures
 constrained to send each signal with probability exactly 1/2. The two
 must agree, which exercises the realizable-signature machinery end to
-end. Signature columns are indexed (type -1, type +1).
+end: the LP ties its signature to the scheme through iid.signature_map
+for the uniform prior on the types (-1, +1), the map by which
+verify.realizability_check decides whether a TwoSignalSignature is
+realizable. Signature columns are indexed (type -1, type +1).
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from typing import Tuple
 import numpy as np
 
 from .errors import InstanceTooLargeError, SolverError, ValidationError
+from .iid import signature_map
 from .lp import LinearProgram, solve
 from .model import _require_finite
 
@@ -83,24 +87,6 @@ def khintchine_constant(a) -> float:
     return float(np.mean(np.abs(sign_dot_products(a))))
 
 
-def _state_types(n: int) -> np.ndarray:
-    """(2^n, n) matrix of +-1 types matching sign_dot_products order."""
-    idx = np.arange(2 ** n)
-    bits = (idx[:, None] >> np.arange(n - 1, -1, -1)) & 1
-    return 2 * bits - 1
-
-
-def _realizability_rows(n: int, lam: float) -> np.ndarray:
-    """Rows sig*2n + 2i + t, over columns (phi_plus, phi_minus, 4n zeros):
-    lam in column sig*2^n + s of every state s where action i has type t."""
-    S = 2 ** n
-    rows = np.zeros((4 * n, 2 * S + 4 * n))
-    sig = np.arange(2)[:, None, None]
-    t = (_state_types(n) + 1) // 2  # (S, n) type index
-    rows[sig * 2 * n + 2 * np.arange(n) + t, sig * S + np.arange(S)[:, None]] = lam
-    return rows
-
-
 def _khintchine_lp(a: np.ndarray):
     """Build and solve the two-signal signature LP for objective vector a.
 
@@ -114,13 +100,12 @@ def _khintchine_lp(a: np.ndarray):
         raise ValidationError("a must be a nonempty vector")
     _require_finite(a=a)
     n = a.size
-    if n > LP_CAP:
-        raise InstanceTooLargeError(2 ** n, 2 ** LP_CAP)
-    S = 2 ** n
+    tie = signature_map(np.full(2, 0.5), n, 2, 2 ** LP_CAP)
+    S = tie.shape[1]
     # columns phi_plus (S), phi_minus (S), plus (n, 2), minus (n, 2); rows: 4n
-    # realizability rows, then phi_plus + phi_minus = 1, then plus rows = 1/2
+    # signature ties, then phi_plus + phi_minus = 1, then plus rows = 1/2
     A = np.zeros((4 * n + S + n, 2 * S + 4 * n))
-    A[: 4 * n] = _realizability_rows(n, -1.0 / S)
+    A[: 4 * n, : 2 * S] = 0.0 - tie.transpose(0, 2, 1).reshape(4 * n, 2 * S)
     A[np.arange(4 * n), 2 * S + np.arange(4 * n)] = 1.0
     A[4 * n: 4 * n + S, : 2 * S] = np.hstack([np.eye(S), np.eye(S)])
     i = np.arange(n)[:, None]
@@ -150,27 +135,3 @@ def khintchine_lp_witness(a) -> Tuple[float, TwoSignalSignature, np.ndarray]:
     value, plus, minus, phi = _khintchine_lp(a)
     return value, TwoSignalSignature(np.clip(plus, 0.0, None),
                                      np.clip(minus, 0.0, None)), phi
-
-
-def membership_check(signature: TwoSignalSignature) -> bool:
-    """Is a two-signal signature realizable by some signaling scheme?
-
-    The equal-probability and prior-consistency equalities are enforced by
-    the TwoSignalSignature type itself, so only realizability is decided
-    here, as a feasibility LP over per-state signal probabilities.
-    """
-    n = signature.action_count
-    if n > LP_CAP:
-        raise InstanceTooLargeError(2 ** n, 2 ** LP_CAP)
-    S = 2 ** n
-    A = np.vstack([_realizability_rows(n, 1.0 / S)[:, : 2 * S],
-                   np.hstack([np.eye(S), np.eye(S)])])
-    b = np.concatenate([signature.plus.ravel(), signature.minus.ravel(),
-                        np.ones(S)])
-    out = solve(LinearProgram(np.zeros(2 * S), A=A,
-                              relations=np.full(b.size, "="), b=b))
-    if out.status == "optimal":
-        return True
-    if out.status == "infeasible":
-        return False
-    raise SolverError(f"membership LP ended with status {out.status}")

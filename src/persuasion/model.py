@@ -344,7 +344,11 @@ class InverseCDF:
 
     def __call__(self, u: np.ndarray) -> np.ndarray:
         u = np.asarray(u, dtype=float)
-        idx = np.take(self._table, (u * self._buckets).astype(np.intp))
+        # one intp buffer: u * B truncated into it, then looked up in
+        # place; u * B lies in [0, B), and mode="clip" does not buffer
+        idx = np.empty(u.shape, dtype=np.intp)
+        np.multiply(u, self._buckets, out=idx, casting="unsafe")
+        np.take(self._table, idx, out=idx, mode="clip")
         split = np.flatnonzero(idx < 0)
         if split.size:
             idx.flat[split] = np.minimum(

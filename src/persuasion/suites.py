@@ -200,8 +200,10 @@ def check_independent_guarantee(count: int = 20, trials: int = 10 ** 6,
             se_high = r_rec.std(ddof=0) / np.sqrt(r_rec.size)
             target_high = n * float(inst.receiver_payoffs @ x)
             target_low = n * float(inst.receiver_payoffs @ y)
-            low_vals = inst.receiver_payoffs[profiles[~highs]]
-            est_low = low_vals.mean() if low_vals.size else target_low
+            # LOW components per type: every draw minus the HIGH ones
+            low = (np.bincount(profiles.ravel(), minlength=inst.type_count)
+                   - np.bincount(profiles[highs], minlength=inst.type_count))
+            est_low = inst.receiver_payoffs @ low / low.sum() if low.any() else target_low
             if abs(est_high - target_high) > 3 * se_high + 1e-9:
                 ok = False
             if est_high < est_low - 3 * se_high - 1e-9:

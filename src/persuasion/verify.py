@@ -4,12 +4,14 @@ Everything here exists to check the solvers from a different direction:
 concavification_value recomputes the optimum of an instance with at most
 three states exactly, as the concave envelope of the posterior value over
 the vertices of the best-response arrangement; realizability_check
-decides whether a claimed signature is achievable by any scheme at all;
-and monte_carlo_eval estimates utility and incentive slacks of an
-arbitrary signal sampler by simulation. allocation_exists_bruteforce
-decides realizability of a symmetric reduced form by a transportation LP
-over all type profiles, sharing nothing with border_feasible or with
-iid's priority decomposition.
+decides whether a claimed signature, with any number of signals, is
+achievable by any scheme at all, by one feasibility LP built on
+iid.signature_map (a TwoSignalSignature is the two-signal case over the
+uniform sign prior); and monte_carlo_eval estimates utility and
+incentive slacks of an arbitrary signal sampler by simulation.
+allocation_exists_bruteforce decides realizability of a symmetric
+reduced form by a transportation LP over all type profiles, sharing
+nothing with border_feasible or with iid's priority decomposition.
 
 A simulation costs O(trials * actions) numpy work in three stages: the
 source draws state indices or type profiles through a table-driven
@@ -32,9 +34,9 @@ import numpy as np
 
 from .blackbox import SampleOracle
 from .errors import InstanceTooLargeError, SolverError, ValidationError
-from .exact import honest_scheme, no_information_scheme
-from .iid import Signature, all_profiles
-from .khintchine import TwoSignalSignature, membership_check
+from .exact import honest_scheme, no_information_scheme, type_profiles
+from .iid import Signature, signature_map
+from .khintchine import TwoSignalSignature
 from .lp import LinearProgram, solve
 from .model import (
     DirectScheme,
@@ -268,42 +270,45 @@ def monte_carlo_eval(sampler, source, trials: int,
 # realizability
 
 
+def _feasible(lp: LinearProgram, name: str) -> bool:
+    """Verdict of a feasibility LP: optimal is True, infeasible is False."""
+    status = solve(lp).status
+    if status not in ("optimal", "infeasible"):
+        raise SolverError(f"{name} LP ended with status {status}")
+    return status == "optimal"
+
+
 def realizability_check(signature: Union[Signature, TwoSignalSignature],
                         instance: Optional[IIDInstance] = None) -> bool:
     """Does any signaling scheme have this signature?
 
-    Solved as a feasibility LP over per-state signal probabilities of the
-    product expansion; two-signal signatures use the dedicated membership
-    program for the uniform sign prior.
+    Solved as a feasibility LP over the per-state probabilities phi[t, i]
+    of the k = M.shape[0] signals on the product expansion, variable
+    t*k + i: one "=" row per (signal i, action j, type l) from
+    signature_map, then one per state making its row a distribution. A
+    TwoSignalSignature is the two-signal signature of the uniform prior
+    q = (1/2, 1/2) on the types (-1, +1) and needs no instance.
     """
     if isinstance(signature, TwoSignalSignature):
-        return membership_check(signature)
-    if instance is None:
+        M, q = np.stack([signature.plus, signature.minus]), np.full(2, 0.5)
+    elif instance is None:
         raise ValidationError("realizability of a full signature needs the instance")
-    n, m = instance.action_count, instance.type_count
-    M = signature.matrices
-    if M.shape != (n, n, m):
-        raise ValidationError("signature shape does not match the instance")
-    marg = M.sum(axis=0)
-    if np.max(np.abs(marg - instance.type_probs[None, :])) > 1e-9:
+    else:
+        M, q = signature.matrices, instance.type_probs
+        if M.shape[1:] != (instance.action_count, q.size):
+            raise ValidationError("signature shape does not match the instance")
+    k, n, m = M.shape
+    if np.max(np.abs(M.sum(axis=0) - q)) > 1e-9:
         return False
-    profiles = all_profiles(m, n, cap=ORACLE_PROFILE_CAP)
-    S = profiles.shape[0]
-    lam = np.prod(instance.type_probs[profiles], axis=1)
-    # variables phi[t, i] at t*n + i; one "=" row per (signal i, action j,
-    # type k) in that order, then one per state making its row a distribution
-    A = np.zeros((n * n * m + S, S, n))
-    i, j = np.arange(n)[:, None, None], np.arange(n)[None, :, None]
-    A[(i * n + j) * m + profiles.T, np.arange(S), i] = lam
-    A[n * n * m + np.arange(S), np.arange(S)] = 1.0
-    out = solve(LinearProgram(np.zeros(S * n), A=A.reshape(-1, S * n),
-                              relations=np.full(n * n * m + S, "="),
-                              b=np.concatenate([M.ravel(), np.ones(S)])))
-    if out.status == "optimal":
-        return True
-    if out.status == "infeasible":
-        return False
-    raise SolverError(f"realizability LP ended with status {out.status}")
+    ties = signature_map(q, n, k, ORACLE_PROFILE_CAP)
+    S = ties.shape[1]
+    A = np.zeros((k * n * m + S, S, k))
+    A[: k * n * m] = ties
+    A[k * n * m + np.arange(S), np.arange(S)] = 1.0
+    return _feasible(LinearProgram(np.zeros(S * k), A=A.reshape(-1, S * k),
+                                   relations=np.full(k * n * m + S, "="),
+                                   b=np.concatenate([M.ravel(), np.ones(S)])),
+                     "realizability")
 
 
 def _transport_lp(profiles: np.ndarray, q: np.ndarray, tau: np.ndarray) -> LinearProgram:
@@ -334,12 +339,8 @@ def allocation_exists_bruteforce(tau, q, n: int) -> bool:
     """
     tau = np.asarray(tau, dtype=float)
     q = np.asarray(q, dtype=float)
-    out = solve(_transport_lp(all_profiles(q.size, n, cap=ORACLE_PROFILE_CAP), q, tau))
-    if out.status == "optimal":
-        return True
-    if out.status == "infeasible":
-        return False
-    raise SolverError(f"brute-force feasibility LP ended with status {out.status}")
+    profiles = type_profiles([q.size] * n, ORACLE_PROFILE_CAP)
+    return _feasible(_transport_lp(profiles, q, tau), "brute-force feasibility")
 
 
 # ---------------------------------------------------------------------------

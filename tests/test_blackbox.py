@@ -10,7 +10,6 @@ from persuasion import fixtures
 from persuasion.blackbox import (
     BlackboxSampler,
     ExplicitOracle,
-    blackbox_signal,
     sample_count,
     solve_empirical_lp,
 )
@@ -108,11 +107,11 @@ def test_blackbox_k1_recommends_sender_best_acceptable():
     rng = np.random.default_rng(72)
     state = (inst.sender_payoffs[0], inst.receiver_payoffs[0])  # rainy
     # eps = 0.2 makes walking acceptable on a rainy day (gap is only 0.1)
-    assert blackbox_signal(oracle, state, 0.2, 1, rng) == 0
+    assert BlackboxSampler(oracle, 0.2, 1).sample(state, rng) == 0
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         # exact IC on the single rainy state forces the drive recommendation
-        assert blackbox_signal(oracle, state, 0.0, 1, rng) == 1
+        assert BlackboxSampler(oracle, 0.0, 1).sample(state, rng) == 1
 
 
 def test_blackbox_point_mass_is_k_independent():
@@ -122,7 +121,7 @@ def test_blackbox_point_mass_is_k_independent():
     rng = np.random.default_rng(73)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        picks = {blackbox_signal(oracle, state, 0.0, K, rng) for K in (1, 5, 50)}
+        picks = {BlackboxSampler(oracle, 0.0, K).sample(state, rng) for K in (1, 5, 50)}
     assert picks == {1}
 
 

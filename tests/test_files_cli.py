@@ -20,7 +20,8 @@ from persuasion.files import (
     save_instance,
     save_scheme,
 )
-from persuasion.model import DirectScheme, ExplicitInstance, IIDInstance, audit
+from persuasion.model import (DirectScheme, ExplicitInstance, IIDInstance,
+                              IndependentInstance, Marginal, audit)
 
 
 def same_instance(a, b):
@@ -183,6 +184,27 @@ def test_cli_signal_subcommand(tmp_path):
                   "--scheme", str(scheme), "--state", "1,0", "--seed", "5")
     assert res.returncode == 0
     assert res.stdout.startswith(b"signal ")
+
+
+def test_cli_signal_on_an_independent_instance(tmp_path):
+    inst = tmp_path / "inst.json"
+    save_instance(IndependentInstance([
+        Marginal([0.5, 0.5], [0.0, 1.0], [1.0, 0.0]),
+        Marginal([0.2, 0.3, 0.5], [1.0, 0.0, 0.5], [0.0, 1.0, 0.25])]), inst)
+    scheme = tmp_path / "scheme.json"
+    res = run_cli("solve", "--input", str(inst), "--method", "exact", "--output", str(scheme))
+    assert res.returncode == 0
+    signal = ("signal", "--input", str(inst), "--scheme", str(scheme), "--seed", "5")
+    res = run_cli(*signal, "--state", "1,2")
+    assert res.returncode == 0
+    assert res.stdout.startswith(b"signal ")
+    # action 0 has two types, action 1 three
+    res = run_cli(*signal, "--state", "2,1")
+    assert res.returncode == 1 and b"type index out of range" in res.stderr
+    res = run_cli(*signal, "--state", "1,7")
+    assert res.returncode == 1
+    assert b"type index out of range" in res.stderr
+    assert b"Traceback" not in res.stderr
 
 
 @pytest.mark.parametrize("method", ["iid-approx", "iid-opt"])

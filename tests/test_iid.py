@@ -8,13 +8,13 @@ import pytest
 from persuasion import approx, fixtures, iid
 from persuasion.approx import solve_relaxation
 from persuasion.errors import InfeasibleReducedFormError, ValidationError
-from persuasion.exact import expand_product, honest_scheme, solve_exact
+from persuasion.exact import expand_product, honest_scheme, profiles_of, solve_exact, type_profiles
 from persuasion.iid import (
     AllocationRule,
     AllocationSchemeSampler,
     PriorityMixture,
     SSignature,
-    all_profiles,
+    SymmetrizedSampler,
     border_feasible,
     decompose_reduced_form,
     implement_s_signature,
@@ -24,7 +24,6 @@ from persuasion.iid import (
     signature_of,
     solve_s_signature,
     symmetrize,
-    symmetrized_sampler,
 )
 from persuasion.model import IIDInstance, audit
 from persuasion.verify import IIDSource, allocation_exists_bruteforce, monte_carlo_eval
@@ -337,7 +336,7 @@ def test_investor_sampler_hits_target_utility():
 
 def _explicit_rule(mixture, m, n):
     """The mixture over all m^n profiles, written out profile by profile."""
-    profiles = all_profiles(m, n)
+    profiles = type_profiles([m] * n, iid.PROFILE_CAP)
     probs = np.zeros((profiles.shape[0], n + 1))
     for weight, order in zip(mixture.weights, mixture.orders):
         rank = np.empty(m + 1, dtype=int)
@@ -584,7 +583,7 @@ def test_symmetrize_rejects_large_action_counts():
     scheme = DirectScheme(np.full((1, 7), 1.0 / 7.0))
     with pytest.raises(ValidationError) as err:
         symmetrize(inst, scheme)
-    assert "symmetrized_sampler" in str(err.value)
+    assert "SymmetrizedSampler" in str(err.value)
 
 
 def test_symmetrized_sampler_matches_average():
@@ -593,10 +592,8 @@ def test_symmetrized_sampler_matches_average():
     full = expand_product(inst)
     scheme = honest_scheme(full)
     sym = symmetrize(inst, scheme)
-    sampler = symmetrized_sampler(inst, scheme)
+    sampler = SymmetrizedSampler(inst, scheme)
     counts = np.zeros((full.state_count, 3))
-    from persuasion.exact import profiles_of
-
     for t, prof in enumerate(profiles_of(inst)):
         for _ in range(4000):
             counts[t, sampler.sample(prof, rng)] += 1

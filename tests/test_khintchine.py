@@ -10,11 +10,11 @@ from persuasion.khintchine import (
     TwoSignalSignature,
     khintchine_constant,
     khintchine_lp_witness,
-    membership_check,
     sign_dot_products,
     solve_khintchine_lp,
 )
 from persuasion.lp import LinearProgram, solve
+from persuasion.verify import realizability_check
 
 
 def signature_of_deterministic(assignment, n):
@@ -129,14 +129,14 @@ def parametrized_signature(x):
 
 
 def test_membership_uninformative_point():
-    assert membership_check(parametrized_signature([0.25, 0.25]))
+    assert realizability_check(parametrized_signature([0.25, 0.25]))
 
 
 def test_membership_boundary_cases():
     # mass 1/2 on (first signal, type -1) forces signaling on action 0's
     # type alone, which pins every other action's joint mass at 1/4
-    assert membership_check(parametrized_signature([0.5, 0.25]))
-    assert not membership_check(parametrized_signature([0.5, 0.3]))
+    assert realizability_check(parametrized_signature([0.5, 0.25]))
+    assert not realizability_check(parametrized_signature([0.5, 0.3]))
 
 
 def test_membership_agrees_with_mixture_oracle():
@@ -145,12 +145,12 @@ def test_membership_agrees_with_mixture_oracle():
     for _ in range(25):
         x = rng.uniform(0.0, 0.5, n)
         sig = parametrized_signature(x)
-        assert membership_check(sig) == mixture_membership_oracle(
+        assert realizability_check(sig) == mixture_membership_oracle(
             sig.plus, sig.minus, n
         )
 
 
 def test_lp_witness_signature_is_realizable():
     _, sig, _ = khintchine_lp_witness(np.array([1.0, -0.7]))
-    assert membership_check(sig)
+    assert realizability_check(sig)
     assert mixture_membership_oracle(sig.plus, sig.minus, 2)

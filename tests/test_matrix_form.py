@@ -14,9 +14,10 @@ import pytest
 
 from persuasion import approx, blackbox, exact, fixtures, iid, khintchine, verify
 from persuasion.blackbox import _bucket_rows, solve_empirical_lp
-from persuasion.errors import ValidationError
-from persuasion.iid import all_profiles, border_feasible
-from persuasion.khintchine import TwoSignalSignature, _state_types
+from persuasion.errors import InstanceTooLargeError, ValidationError
+from persuasion.exact import type_profiles
+from persuasion.iid import border_feasible
+from persuasion.khintchine import TwoSignalSignature, sign_dot_products
 from persuasion.lp import Constraint, LinearProgram, _Tableau, solve
 from persuasion.model import (DirectScheme, ExplicitInstance, IIDInstance,
                               IndependentInstance, Marginal)
@@ -96,9 +97,14 @@ def _rows_s_signature_lps(instance):
         cuts.append(check.violating_set)
 
 
+def _state_types(n):
+    """(2^n, n) matrix of +-1 types in sign_dot_products order."""
+    return 2 * type_profiles([2] * n, 2 ** n) - 1
+
+
 def _rows_transport_lp(tau, q, n, cap):
     m = q.size
-    profiles = all_profiles(m, n, cap=cap)
+    profiles = type_profiles([m] * n, cap)
     S = profiles.shape[0]
     lam = np.prod(q[profiles], axis=1)
     nv = S * n
@@ -119,21 +125,22 @@ def _rows_transport_lp(tau, q, n, cap):
 def _rows_realizability_lp(signature, instance, cap=4096):
     n, m = instance.action_count, instance.type_count
     M = signature.matrices
-    profiles = all_profiles(m, n, cap=cap)
+    k = M.shape[0]  # signals
+    profiles = type_profiles([m] * n, cap)
     S = profiles.shape[0]
     lam = np.prod(instance.type_probs[profiles], axis=1)
-    nv = S * n
+    nv = S * k
     cons = []
-    for i in range(n):
+    for i in range(k):
         for j in range(n):
-            for k in range(m):
+            for l in range(m):
                 row = np.zeros(nv)
-                hits = np.nonzero(profiles[:, j] == k)[0]
-                row[hits * n + i] = lam[hits]
-                cons.append(Constraint(row, "=", float(M[i, j, k])))
+                hits = np.nonzero(profiles[:, j] == l)[0]
+                row[hits * k + i] = lam[hits]
+                cons.append(Constraint(row, "=", float(M[i, j, l])))
     for t in range(S):
         row = np.zeros(nv)
-        row[t * n:(t + 1) * n] = 1.0
+        row[t * k:(t + 1) * k] = 1.0
         cons.append(Constraint(row, "=", 1.0))
     return LinearProgram(np.zeros(nv), cons)
 
@@ -314,11 +321,48 @@ def test_khintchine_lp_matches_row_builder(monkeypatch, n):
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_membership_lp_matches_row_builder(monkeypatch, n):
+    # a two-signal signature is the k = 2 case of the realizability program
     x = np.random.default_rng(n).uniform(0.0, 0.5, (n, 2))
     x[:, 1] = 0.5 - x[:, 0]
     sig = TwoSignalSignature(x, 0.5 - x)
-    (new,) = _recorded(monkeypatch, khintchine, lambda: khintchine.membership_check(sig))
-    _same_program(new, _rows_membership_lp(sig))
+    (new,) = _recorded(monkeypatch, verify, lambda: verify.realizability_check(sig))
+    as_matrices = iid.Signature(np.stack([sig.plus, sig.minus]))
+    sign_prior = IIDInstance(n, [0.5, 0.5], [0.0, 0.0], [0.0, 0.0])  # types (-1, +1)
+    _same_program(new, _rows_realizability_lp(as_matrices, sign_prior))
+    # and k signals on a random i.i.d. prior, k != n
+    rng = np.random.default_rng(n)
+    inst = fixtures.random_iid(rng, actions=min(n, 4), types=2)
+    for k in (1, 3):
+        phi = rng.random((2 ** inst.action_count, k))
+        phi /= phi.sum(axis=1, keepdims=True)
+        zero = iid.Signature(np.zeros((k, inst.action_count, 2)))
+        M = _rows_realizability_lp(zero, inst).A[:-phi.shape[0]] @ phi.ravel()
+        sig_k = iid.Signature(M.reshape(k, inst.action_count, 2), inst.type_probs)
+        (new,) = _recorded(monkeypatch, verify,
+                           lambda: verify.realizability_check(sig_k, inst))
+        _same_program(new, _rows_realizability_lp(sig_k, inst))
+        assert solve(new).status == "optimal"
+
+
+def _two_signal_draws(rng, n):
+    """Signatures x = Pr[first signal, type -1] per action: feasible and not."""
+    draws = [np.full(n, 0.25), np.full(n, 0.5), np.r_[0.5, np.full(n - 1, 0.3)]]
+    draws += [rng.uniform(0.0, 0.5, n) for _ in range(4)]
+    draws += [0.25 + rng.uniform(-0.25, 0.25) * 2.0 ** -np.arange(n) for _ in range(3)]
+    return [TwoSignalSignature(np.stack([x, 0.5 - x], axis=1),
+                               np.stack([0.5 - x, x], axis=1)) for x in draws]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_two_signal_verdict_matches_membership_program(n):
+    # the signal-major membership program realizability_check replaced
+    verdicts = []
+    for sig in _two_signal_draws(np.random.default_rng(100 + n), n):
+        want = solve(_rows_membership_lp(sig)).status
+        assert want in ("optimal", "infeasible")
+        assert verify.realizability_check(sig) == (want == "optimal")
+        verdicts.append(want == "optimal")
+    assert any(verdicts) and (n == 1 or not all(verdicts))
 
 
 # ---------------------------------------------------------------------------
@@ -561,3 +605,48 @@ def test_expand_product_matches_profile_loop():
         got = (full.state_probs, full.sender_payoffs, full.receiver_payoffs)
         for a, b in zip(got, _loop_expand_product(inst)):
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the product order, pinned in one place
+
+
+def test_type_profiles_is_the_product_order():
+    rng = np.random.default_rng(43)
+    size_lists = [[1], [4], [2, 3], [3, 1, 2], [2, 2, 2, 2], [4, 3, 1, 2, 3]]
+    size_lists += [list(rng.integers(1, 5, size=int(rng.integers(1, 5)))) for _ in range(6)]
+    for sizes in size_lists:
+        got = type_profiles(sizes, 10 ** 6)
+        want = np.array(list(itertools.product(*(range(k) for k in sizes))), dtype=int)
+        assert got.dtype == want.dtype and got.flags.c_contiguous
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        rows = np.ravel_multi_index(tuple(got.T), sizes)
+        assert rows.tolist() == list(range(len(got)))
+        # expand_product's states are these profiles, in this order
+        inst = IndependentInstance([
+            Marginal(fixtures.random_simplex(rng, k), rng.uniform(-1, 1, k),
+                     rng.uniform(-1, 1, k)) for k in sizes])
+        assert exact.profiles_of(inst).tobytes() == got.tobytes()
+        full = exact.expand_product(inst)
+        for i, marg in enumerate(inst.marginals):
+            assert full.sender_payoffs[:, i].tobytes() == marg.sender_payoffs[got[:, i]].tobytes()
+    for n in range(1, 9):  # the sign states of sign_dot_products
+        a = 2.0 ** np.arange(n)  # dot products exact in any summation order
+        assert np.array_equal(sign_dot_products(a), _state_types(n) @ a)
+    rule = iid.decompose_reduced_form(np.full(3, 0.25), np.full(3, 1 / 3), 3)
+    assert rule.profiles.tobytes() == type_profiles([3] * 3, 27).tobytes()
+
+
+def test_type_profiles_cap():
+    assert type_profiles([2] * 12, 4096).shape == (4096, 12)
+    with pytest.raises(InstanceTooLargeError):
+        type_profiles([2] * 13, 4096)
+    with pytest.raises(InstanceTooLargeError):  # no int64 wrap-around to 0
+        type_profiles([2] * 64, 4096)
+    x = np.full((13, 2), 0.25)
+    with pytest.raises(InstanceTooLargeError):
+        verify.realizability_check(TwoSignalSignature(x, x))
+    with pytest.raises(InstanceTooLargeError):
+        khintchine.solve_khintchine_lp(np.ones(13))
+    with pytest.raises(InstanceTooLargeError):
+        exact.expand_product(IIDInstance(13, [0.5, 0.5], [0.0, 1.0], [1.0, 0.0]), cap=4096)

@@ -1,9 +1,11 @@
-"""The benchmark's tracing hooks resolve on the package and install cleanly.
+"""The benchmark's tracing hooks and calls resolve on the package.
 
-perfbench/tracing.py wraps public names by string; a renamed or removed
+perfbench/tracing.py wraps public names by string, and the workloads call
+persuasion as P.<name> and its fixtures as F.<name>; a renamed or removed
 name would otherwise only show when the benchmark runs.
 """
 
+import ast
 import importlib
 import importlib.util
 import sys
@@ -14,7 +16,8 @@ import numpy as np
 import persuasion
 from persuasion import fixtures
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 
 
 def _load_tracing():
@@ -43,6 +46,30 @@ def test_every_layer_resolves_on_the_package():
     for layer, module_name, path, observe in _load_tracing().LAYERS:
         assert callable(_target(module_name, path)), layer
         assert observe is None or callable(observe), layer
+
+
+def _attributes_of(path, owner):
+    """Names read as owner.<name> or self.owner.<name> in a source file."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Attribute):
+            base = node.value
+            if (isinstance(base, ast.Name) and base.id == owner) or (
+                    isinstance(base, ast.Attribute) and base.attr == owner):
+                names.add(node.attr)
+    return names
+
+
+def test_every_benchmark_call_resolves_on_the_package():
+    for source in ("workloads.py", "checks.py"):
+        path = PERFBENCH / source
+        called, made = _attributes_of(path, "P"), _attributes_of(path, "F")
+        assert called, source
+        assert sorted(n for n in called if not hasattr(persuasion, n)) == [], source
+        assert sorted(n for n in made if not hasattr(fixtures, n)) == [], source
+    assert {"realizability_check", "signature_of", "solve_khintchine_lp",
+            "khintchine_constant", "expand_product"} <= _attributes_of(
+        PERFBENCH / "workloads.py", "P")
 
 
 def test_tracer_install_and_uninstall_round_trip():

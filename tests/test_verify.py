@@ -502,6 +502,22 @@ def test_inverse_cdf_bucket_count():
         4096, 4096, 8192, 65536, 65536]
 
 
+def test_inverse_cdf_keeps_one_index_array():
+    # the (T, n) intp result and a bool mask of split draws; the float
+    # product u * B and its intp copy would add two more arrays of its size
+    probs = fixtures.random_simplex(np.random.default_rng(157), 7)
+    inv = InverseCDF(probs)
+    u = np.random.default_rng(158).random((50_000, 4))
+    tracemalloc.start()
+    try:
+        idx = inv(u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(idx, _searchsorted_indices(probs, u))
+    assert peak < 1.25 * idx.nbytes
+
+
 # ---------------------------------------------------------------------------
 # malformed sampler output
 
