@@ -42,7 +42,6 @@ from .iid import (
     PriorityMixture,
     Signature,
     SSignature,
-    SymmetrizedSampler,
     border_feasible,
     decompose_reduced_form,
     implement_s_signature,
@@ -72,9 +71,7 @@ from .verify import (
     DirectSchemeSampler,
     EvalReport,
     ExplicitSource,
-    FullInformationSampler,
     IIDSource,
-    NoInformationSampler,
     OracleSource,
     allocation_exists_bruteforce,
     concavification_value,

@@ -1,9 +1,12 @@
 """Sample-and-solve signaling for black-box priors.
 
 The scheme never materializes a full signaling policy. Given a realized
-state, it draws K-1 fresh states from the oracle, inserts the real one at
-a uniformly random position among them, solves the relaxed empirical
-signaling LP on that multiset, and emits a signal from the inserted row.
+state, it draws K-1 fresh states from the oracle, stacks the real one
+above them, solves the relaxed empirical signaling LP on that multiset,
+and emits a signal from the real state's row. Identical samples are
+bucketed into weighted states ordered by their payoffs, so the program
+does not depend on where the real state sits: it is the explicit-prior
+LP on the empirical distribution, which exact.solve_exact solves.
 Because the real state is exchangeable with the samples, the induced
 scheme is epsilon-IC for the true prior, and its expected utility equals
 the expected empirical LP optimum.
@@ -20,27 +23,20 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Protocol, Tuple
+from typing import Protocol, Tuple
 
 import numpy as np
 
 from .errors import SolverError, ValidationError
-from .exact import direct_scheme_lp
-from .lp import solve
-from .model import ExplicitInstance, InverseCDF, _require_epsilon
+from .exact import solve_exact
+from .model import IC_TOL, ExplicitInstance, InverseCDF, _require_epsilon
 
 PAYOFF_BOUND = 1.0 + 1e-12
-EMPIRICAL_IC_TOL = 1e-9
 
 
 class SampleOracle(Protocol):
-    """Seeded source of states with payoffs in [-1, 1].
+    """Seeded source of states with payoffs in [-1, 1]."""
 
-    concurrent_safe declares whether draw_batch may be called from several
-    threads at once (each call receives its own generator either way).
-    """
-
-    concurrent_safe: bool
     action_count: int
 
     def draw(self, rng: np.random.Generator) -> Tuple[np.ndarray, np.ndarray]:
@@ -54,8 +50,6 @@ class SampleOracle(Protocol):
 
 class ExplicitOracle:
     """Black-box wrapper over an explicit instance, for testing and fixtures."""
-
-    concurrent_safe = True
 
     def __init__(self, instance: ExplicitInstance):
         if (np.abs(instance.sender_payoffs).max() > PAYOFF_BOUND
@@ -148,38 +142,26 @@ def solve_empirical_lp(samples, epsilon: float) -> EmpiricalScheme:
     with equal rows on identical states) and keeps the LP small when the
     sample comes from a finite-support distribution. Bucketing costs one
     lexsort of the K samples over their 2n payoff columns (_bucket_rows).
+    solve_exact solves the bucketed instance (weights count / K), and its
+    relaxed IC slacks are checked against model.IC_TOL.
     """
     _require_epsilon(epsilon)
     s, r = _as_sample_arrays(samples)
     K, n = s.shape
     uniq, inverse, counts = _bucket_rows(np.hstack([s, r]))
-    B = uniq.shape[0]
-    ur = uniq[:, n:]
-    w = counts / K
-    out = solve(direct_scheme_lp(w, uniq[:, :n], ur, epsilon))
-    if out.status != "optimal":
-        raise SolverError(f"empirical signaling LP ended with status {out.status}")
-    phi_b = np.clip(out.point.reshape(B, n), 0.0, None)
-    phi_b /= phi_b.sum(axis=1, keepdims=True)
-    _check_empirical_ic(phi_b, ur, w, epsilon)
+    empirical = ExplicitInstance(counts / K, uniq[:, :n], uniq[:, n:])
+    sol = solve_exact(empirical, epsilon)
+    alpha = empirical.state_probs @ sol.scheme.phi
+    slack = sol.audit.ic_slack + epsilon * alpha[:, None]
+    if slack.min() < -IC_TOL:
+        raise SolverError(f"empirical scheme violates relaxed IC by {-slack.min():.3e}")
     return EmpiricalScheme(
         sender_samples=s,
         receiver_samples=r,
-        phi=phi_b[inverse],
+        phi=sol.scheme.phi[inverse],
         epsilon=float(epsilon),
-        value=float(out.value),
+        value=sol.value,
     )
-
-
-def _check_empirical_ic(phi_b, ur, w, epsilon):
-    weighted = phi_b * w[:, None]
-    joint = weighted.T @ ur
-    alpha = weighted.sum(axis=0)
-    slack = joint.diagonal()[:, None] - joint + epsilon * alpha[:, None]
-    if slack.min() < -EMPIRICAL_IC_TOL:
-        raise SolverError(
-            f"empirical scheme violates relaxed IC by {-slack.min():.3e}"
-        )
 
 
 class BlackboxSampler:
@@ -202,16 +184,21 @@ class BlackboxSampler:
         self.oracle = oracle
         self.epsilon = float(epsilon)
         self.K = int(K)
-        self.last_value: Optional[float] = None
 
     def sample(self, state, rng: np.random.Generator) -> int:
-        """One invocation of the scheme for a realized (sender, receiver) pair."""
-        s_real, r_real = state
-        pos = int(rng.integers(self.K))
+        """One invocation of the scheme for a realized (sender, receiver) pair.
+
+        The real state is row 0 above the K-1 fresh draws; each of its two
+        payoff vectors must have one entry per action of the oracle.
+        """
+        n = self.oracle.action_count
+        s_real, r_real = (np.asarray(a, dtype=float) for a in state)
+        if s_real.shape != (n,) or r_real.shape != (n,):
+            raise ValidationError(
+                f"real state must be two payoff vectors of length {n}, got "
+                f"shapes {s_real.shape} and {r_real.shape}")
         s_fresh, r_fresh = self.oracle.draw_batch(self.K - 1, rng)
-        s_all = np.insert(s_fresh, pos, np.asarray(s_real, dtype=float), axis=0)
-        r_all = np.insert(r_fresh, pos, np.asarray(r_real, dtype=float), axis=0)
-        scheme = solve_empirical_lp((s_all, r_all), self.epsilon)
-        self.last_value = scheme.value
-        row = scheme.phi[pos]
+        scheme = solve_empirical_lp((np.vstack([s_real, s_fresh]),
+                                     np.vstack([r_real, r_fresh])), self.epsilon)
+        row = scheme.phi[0]
         return int(rng.choice(row.size, p=row / row.sum()))

@@ -22,14 +22,14 @@ out over all m^n type profiles as an explicit AllocationRule, and
 reduced_form_of evaluates a rule exhaustively. signature_map is the
 linear map from schemes to signatures over those profiles, on which
 verify.realizability_check and the Khintchine LP build their programs.
-Nothing here solves an LP; the brute-force feasibility oracle is verify's.
+symmetrize averages a scheme over all n! action permutations, for any n,
+as one mean per orbit of (profile, type) pairs. Nothing here solves an
+LP; the brute-force feasibility oracle is verify's.
 """
 
 from __future__ import annotations
 
 import bisect
-import itertools
-import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -43,7 +43,6 @@ S_SIG_TOL = 1e-9
 BORDER_TOL = 1e-9
 REDUCED_FORM_MATCH_TOL = 1e-6
 PROFILE_CAP = 2048
-FACTORIAL_CAP = 6
 
 
 @dataclass(frozen=True)
@@ -587,49 +586,23 @@ def s_signature_of(instance: IIDInstance, scheme: DirectScheme) -> SSignature:
 
 
 def symmetrize(instance: IIDInstance, scheme: DirectScheme) -> DirectScheme:
-    """Average a scheme over all action permutations.
+    """Average a scheme over all action permutations: the orbit average.
 
-    Preserves sender utility and incentive compatibility, and the result's
-    signature has identical recommended rows and identical other rows.
-    Materializing the average needs n! passes, so this requires n <= 6;
-    for larger n use SymmetrizedSampler, which draws one permutation per
-    invocation instead.
+    A permutation maps (profile t, signal i) to a pair (t', i') where t'
+    holds the same multiset of types and t'[i'] = t[i]; over the n!
+    permutations each such pair occurs equally often. So entry (t, i) is
+    the mean of phi over those pairs, one group per (sorted profile, type),
+    in O(S*n) for any n. Keeps sender utility and incentive compatibility,
+    and the result's signature has identical recommended rows and identical
+    other rows.
     """
     n, m = instance.action_count, instance.type_count
-    if n > FACTORIAL_CAP:
-        raise ValidationError(
-            f"n={n} is too large to average over {n}! permutations; "
-            "use SymmetrizedSampler instead"
-        )
     profiles = type_profiles([m] * n, max(PROFILE_CAP, scheme.state_count))
     if scheme.state_count != profiles.shape[0]:
         raise ValidationError("scheme rows must cover the product expansion")
     if scheme.signal_count != n:
         raise ValidationError("symmetrize needs one signal per action")
-    out = np.zeros_like(scheme.phi)
-    for perm in itertools.permutations(range(n)):
-        p = np.array(perm)
-        inv = np.empty(n, dtype=int)
-        inv[p] = np.arange(n)
-        # relabeled copy: signal i on profile theta is signal inv[i] on the
-        # profile whose slot j holds theta[p[j]]
-        rows = np.ravel_multi_index(profiles[:, p].T, (m,) * n)
-        out += scheme.phi[rows][:, inv]
-    out /= math.factorial(n)
-    return DirectScheme(out)
-
-
-class SymmetrizedSampler:
-    """Permutation-sampling form of symmetrize for any action count."""
-
-    def __init__(self, instance: IIDInstance, scheme: DirectScheme):
-        self.instance = instance
-        self.scheme = scheme
-        self._dims = (instance.type_count,) * instance.action_count
-
-    def sample(self, profile, rng: np.random.Generator) -> int:
-        perm = rng.permutation(len(self._dims))
-        prof = np.asarray(profile, dtype=int)[perm]
-        row = self.scheme.phi[np.ravel_multi_index(prof, self._dims)]
-        signal = int(rng.choice(row.size, p=row / row.sum()))
-        return int(perm[signal])
+    orbit = np.ravel_multi_index(np.sort(profiles, axis=1).T, (m,) * n)
+    _, group = np.unique((orbit[:, None] * m + profiles).ravel(), return_inverse=True)
+    sums = np.bincount(group, weights=scheme.phi.ravel())
+    return DirectScheme((sums / np.bincount(group))[group].reshape(profiles.shape))

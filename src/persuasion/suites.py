@@ -20,7 +20,7 @@ import numpy as np
 from . import fixtures
 from .approx import IndependentSignalSampler, solve_relaxation
 from .blackbox import BlackboxSampler, ExplicitOracle, sample_count
-from .exact import expand_product, solve_exact
+from .exact import expand_product, honest_scheme, no_information_scheme, solve_exact
 from .iid import (
     border_feasible,
     decompose_reduced_form,
@@ -31,10 +31,9 @@ from .iid import (
 )
 from .model import audit
 from .verify import (
+    DirectSchemeSampler,
     ExplicitSource,
-    FullInformationSampler,
     IIDSource,
-    NoInformationSampler,
     OracleSource,
     allocation_exists_bruteforce,
     concavification_value,
@@ -79,8 +78,9 @@ def check_investor(trials: int = 10 ** 6, seed: int = 2002) -> CheckResult:
     _, v_sig = solve_s_signature(inst)
     rng = np.random.default_rng(seed)
     src = ExplicitSource(full)
-    rep_full = monte_carlo_eval(FullInformationSampler(full), src, trials, rng)
-    rep_none = monte_carlo_eval(NoInformationSampler(full), src, trials, rng)
+    rep_full = monte_carlo_eval(DirectSchemeSampler(honest_scheme(full)), src, trials, rng)
+    rep_none = monte_carlo_eval(DirectSchemeSampler(no_information_scheme(full)), src,
+                                trials, rng)
     elapsed = time.perf_counter() - t0
     ok = (
         abs(v_exact - 5.0 / 9.0) <= 1e-9
@@ -165,6 +165,41 @@ def check_decomposition(count: int = 200, seed: int = 2004) -> CheckResult:
     )
 
 
+def _guarantee_on(inst, trials: int, rng: np.random.Generator):
+    """(margin over the guarantee, receiver rational) on one instance.
+
+    A function of its own, so that the instance's (trials, n) draws are
+    freed before the next instance draws.
+    """
+    n = inst.action_count
+    x, y, bound = solve_relaxation(inst)
+    profiles = IIDSource(inst).draw_many(trials, rng)
+    recs, highs = IndependentSignalSampler(inst, x, y).sample_many_detailed(profiles, rng)
+    idx = np.arange(trials)
+    rec_types = profiles[idx, recs]
+    util = inst.sender_payoffs[rec_types]
+    se = util.std(ddof=0) / np.sqrt(trials)
+    ratio = 1.0 - (1.0 - 1.0 / n) ** n
+    margin = util.mean() - (ratio * bound - 3 * se)
+    # conditional receiver rationality: recommended-and-HIGH actions
+    # must look like n*rho.x, LOW components like n*rho.y
+    hit = highs[idx, recs]
+    if not hit.any():
+        return margin, True
+    r_rec = inst.receiver_payoffs[rec_types[hit]]
+    est_high = r_rec.mean()
+    se_high = r_rec.std(ddof=0) / np.sqrt(r_rec.size)
+    target_high = n * float(inst.receiver_payoffs @ x)
+    target_low = n * float(inst.receiver_payoffs @ y)
+    # LOW components per type: every draw minus the HIGH ones
+    low = (np.bincount(profiles.ravel(), minlength=inst.type_count)
+           - np.bincount(profiles[highs], minlength=inst.type_count))
+    est_low = inst.receiver_payoffs @ low / low.sum() if low.any() else target_low
+    rational = not (abs(est_high - target_high) > 3 * se_high + 1e-9
+                    or est_high < est_low - 3 * se_high - 1e-9)
+    return margin, rational
+
+
 def check_independent_guarantee(count: int = 20, trials: int = 10 ** 6,
                                 seed: int = 2006) -> CheckResult:
     """Componentwise scheme beats the 1-(1-1/n)^n fraction of its bound."""
@@ -174,40 +209,12 @@ def check_independent_guarantee(count: int = 20, trials: int = 10 ** 6,
     ok = True
     worst_margin = np.inf
     for k in range(count):
-        n = sizes[k % len(sizes)]
-        inst = fixtures.random_iid(rng, nonnegative=True, actions=n,
+        inst = fixtures.random_iid(rng, nonnegative=True, actions=sizes[k % len(sizes)],
                                    types=int(rng.integers(1, 5)))
-        x, y, bound = solve_relaxation(inst)
-        sampler = IndependentSignalSampler(inst, x, y)
-        profiles = IIDSource(inst).draw_many(trials, rng)
-        recs, highs = sampler.sample_many_detailed(profiles, rng)
-        idx = np.arange(trials)
-        rec_types = profiles[idx, recs]
-        util = inst.sender_payoffs[rec_types]
-        mean = util.mean()
-        se = util.std(ddof=0) / np.sqrt(trials)
-        ratio = 1.0 - (1.0 - 1.0 / n) ** n
-        margin = mean - (ratio * bound - 3 * se)
+        margin, rational = _guarantee_on(inst, trials, rng)
         worst_margin = min(worst_margin, margin)
-        if margin < 0:
+        if margin < 0 or not rational:
             ok = False
-        # conditional receiver rationality: recommended-and-HIGH actions
-        # must look like n*rho.x, LOW components like n*rho.y
-        hit = highs[idx, recs]
-        if hit.any():
-            r_rec = inst.receiver_payoffs[rec_types[hit]]
-            est_high = r_rec.mean()
-            se_high = r_rec.std(ddof=0) / np.sqrt(r_rec.size)
-            target_high = n * float(inst.receiver_payoffs @ x)
-            target_low = n * float(inst.receiver_payoffs @ y)
-            # LOW components per type: every draw minus the HIGH ones
-            low = (np.bincount(profiles.ravel(), minlength=inst.type_count)
-                   - np.bincount(profiles[highs], minlength=inst.type_count))
-            est_low = inst.receiver_payoffs @ low / low.sum() if low.any() else target_low
-            if abs(est_high - target_high) > 3 * se_high + 1e-9:
-                ok = False
-            if est_high < est_low - 3 * se_high - 1e-9:
-                ok = False
     elapsed = time.perf_counter() - t0
     passed = ok and elapsed < 300.0
     return CheckResult(

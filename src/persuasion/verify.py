@@ -8,7 +8,9 @@ decides whether a claimed signature, with any number of signals, is
 achievable by any scheme at all, by one feasibility LP built on
 iid.signature_map (a TwoSignalSignature is the two-signal case over the
 uniform sign prior); and monte_carlo_eval estimates utility and
-incentive slacks of an arbitrary signal sampler by simulation.
+incentive slacks of an arbitrary signal sampler by simulation. Fixed
+schemes, full and no information included, sample through
+DirectSchemeSampler; only the black-box sampler draws trial by trial.
 allocation_exists_bruteforce decides realizability of a symmetric
 reduced form by a transportation LP over all type profiles, sharing
 nothing with border_feasible or with iid's priority decomposition.
@@ -34,7 +36,7 @@ import numpy as np
 
 from .blackbox import SampleOracle
 from .errors import InstanceTooLargeError, SolverError, ValidationError
-from .exact import honest_scheme, no_information_scheme, type_profiles
+from .exact import type_profiles
 from .iid import Signature, signature_map
 from .khintchine import TwoSignalSignature
 from .lp import LinearProgram, solve
@@ -133,32 +135,6 @@ class DirectSchemeSampler:
         draws = rng.random((states.size, 1))
         k = self.scheme.signal_count
         return np.minimum((rows <= draws).sum(axis=1), k - 1)
-
-
-class FullInformationSampler:
-    """Recommends the receiver-best action of the realized state."""
-
-    def __init__(self, instance: ExplicitInstance):
-        self._rec = honest_scheme(instance).phi.argmax(axis=1)
-
-    def sample(self, state: int, rng: np.random.Generator) -> int:
-        return int(self._rec[state])
-
-    def sample_many(self, states: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        return self._rec[states]
-
-
-class NoInformationSampler:
-    """Constant recommendation of the receiver's prior-best action."""
-
-    def __init__(self, instance: ExplicitInstance):
-        self._rec = int(no_information_scheme(instance).phi[0].argmax())
-
-    def sample(self, state: int, rng: np.random.Generator) -> int:
-        return self._rec
-
-    def sample_many(self, states: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        return np.full(states.shape[0], self._rec, dtype=int)
 
 
 # ---------------------------------------------------------------------------

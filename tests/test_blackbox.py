@@ -89,7 +89,6 @@ def test_empirical_lp_rejects_non_finite_payoffs(bad):
 
 def test_oracle_single_draw_and_safety_flag():
     oracle = ExplicitOracle(fixtures.rain_shine_mixed(0.1))
-    assert oracle.concurrent_safe
     s, r = oracle.draw(np.random.default_rng(3))
     assert s.shape == r.shape == (2,)
     assert np.abs(s).max() <= 1.0 and np.abs(r).max() <= 1.0
@@ -112,6 +111,30 @@ def test_blackbox_k1_recommends_sender_best_acceptable():
         warnings.simplefilter("ignore")
         # exact IC on the single rainy state forces the drive recommendation
         assert BlackboxSampler(oracle, 0.0, 1).sample(state, rng) == 1
+
+
+@pytest.mark.parametrize("state", [
+    ([1.0], [0.0]),                    # would broadcast into a made-up state
+    (np.zeros((2, 2)), np.zeros((2, 2))),
+    ([0.1, 0.2, 0.3], [0.0, 0.5, 1.0]),
+], ids=["length-1", "2x2", "length-3"])
+def test_blackbox_rejects_a_state_of_the_wrong_shape(state):
+    oracle = ExplicitOracle(fixtures.rain_shine_mixed(0.1))
+    sampler = BlackboxSampler(oracle, epsilon=0.2, K=5)
+    with pytest.raises(ValidationError, match="length 2"):
+        sampler.sample(state, np.random.default_rng(77))
+
+
+def test_empirical_lp_ignores_sample_order():
+    rng = np.random.default_rng(78)
+    oracle = ExplicitOracle(fixtures.investor_blackbox_instance())
+    for eps in (0.0, 0.2):
+        s, r = oracle.draw_batch(300, rng)
+        perm = rng.permutation(300)
+        base = solve_empirical_lp((s, r), eps)
+        moved = solve_empirical_lp((s[perm], r[perm]), eps)
+        assert moved.value == base.value
+        assert np.array_equal(moved.phi, base.phi[perm])
 
 
 def test_blackbox_point_mass_is_k_independent():

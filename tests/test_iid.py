@@ -1,6 +1,7 @@
 """s-signature solver, Border feasibility, decomposition, symmetrization."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from persuasion.iid import (
     AllocationSchemeSampler,
     PriorityMixture,
     SSignature,
-    SymmetrizedSampler,
     border_feasible,
     decompose_reduced_form,
     implement_s_signature,
@@ -25,7 +25,7 @@ from persuasion.iid import (
     solve_s_signature,
     symmetrize,
 )
-from persuasion.model import IIDInstance, audit
+from persuasion.model import DirectScheme, IIDInstance, audit
 from persuasion.verify import IIDSource, allocation_exists_bruteforce, monte_carlo_eval
 
 
@@ -576,29 +576,47 @@ def test_symmetrize_honest_scheme_keeps_utility():
         )
 
 
-def test_symmetrize_rejects_large_action_counts():
-    inst = IIDInstance(7, [1.0], [1.0], [1.0])
-    from persuasion.model import DirectScheme
+def _symmetrize_by_permutations(inst, scheme):
+    """Reference: the average of the n! relabeled copies of a scheme."""
+    n, m = inst.action_count, inst.type_count
+    profiles = profiles_of(inst)
+    out = np.zeros_like(scheme.phi)
+    for perm in itertools.permutations(range(n)):
+        p = np.array(perm)
+        inv = np.empty(n, dtype=int)
+        inv[p] = np.arange(n)
+        # signal i on profile theta is signal inv[i] on the profile whose
+        # slot j holds theta[p[j]]
+        rows = np.ravel_multi_index(profiles[:, p].T, (m,) * n)
+        out += scheme.phi[rows][:, inv]
+    return out / math.factorial(n)
 
-    scheme = DirectScheme(np.full((1, 7), 1.0 / 7.0))
-    with pytest.raises(ValidationError) as err:
-        symmetrize(inst, scheme)
-    assert "SymmetrizedSampler" in str(err.value)
 
-
-def test_symmetrized_sampler_matches_average():
+def test_symmetrize_matches_the_permutation_average():
     rng = np.random.default_rng(58)
-    inst = fixtures.random_iid(rng, actions=3, types=2)
+    for n in range(1, 6):
+        for m in range(1, 4):
+            inst = fixtures.random_iid(rng, actions=n, types=m)
+            full = expand_product(inst)
+            phi = rng.dirichlet(np.ones(n), size=full.state_count)
+            for scheme in (DirectScheme(phi), solve_exact(full).scheme):
+                np.testing.assert_allclose(symmetrize(inst, scheme).phi,
+                                           _symmetrize_by_permutations(inst, scheme),
+                                           rtol=0.0, atol=1e-12)
+
+
+def test_symmetrize_beyond_factorial_scale():
+    inst = fixtures.random_iid(np.random.default_rng(59), actions=8, types=2)
     full = expand_product(inst)
-    scheme = honest_scheme(full)
-    sym = symmetrize(inst, scheme)
-    sampler = SymmetrizedSampler(inst, scheme)
-    counts = np.zeros((full.state_count, 3))
-    for t, prof in enumerate(profiles_of(inst)):
-        for _ in range(4000):
-            counts[t, sampler.sample(prof, rng)] += 1
-    emp = counts / counts.sum(axis=1, keepdims=True)
-    assert np.max(np.abs(emp - sym.phi)) < 0.05
+    sol = solve_exact(full)
+    sym = symmetrize(inst, sol.scheme)
+    after = audit(full, sym)
+    assert after.sender_utility == pytest.approx(sol.value, abs=1e-12)
+    assert after.is_ic and after.min_slack >= sol.audit.min_slack - 1e-12
+    M = signature_of(inst, sym).matrices
+    off = ~np.eye(8, dtype=bool)
+    assert np.max(np.abs(M[np.eye(8, dtype=bool)] - M[0, 0])) <= 1e-12
+    assert np.max(np.abs(M[off] - M[0, 1])) <= 1e-12
 
 
 def test_s_signature_of_symmetrized_scheme():

@@ -236,7 +236,7 @@ def test_empirical_lp_matches_row_builder():
     oracle = blackbox.ExplicitOracle(fixtures.investor_blackbox_instance())
     for eps in (0.0, 0.05):
         s, r = oracle.draw_batch(400, rng)
-        seen = _recorded(pytest.MonkeyPatch(), blackbox,
+        seen = _recorded(pytest.MonkeyPatch(), exact,
                          lambda: solve_empirical_lp((s, r), eps))
         uniq, _, counts = np.unique(np.hstack([s, r]), axis=0, return_inverse=True,
                                     return_counts=True)
