@@ -29,6 +29,7 @@ from .model import (
     Marginal,
     audit,
     _require_epsilon,
+    _unit_factors,
     best_response,
     best_response_many,
 )
@@ -75,17 +76,26 @@ def solve_exact(instance: ExplicitInstance, epsilon: float = 0.0) -> ExactSoluti
 
     The simplex starts from the honest basis: one variable per state, on
     the receiver's exact argmax action, and the incentive surpluses. That
-    basis is primal feasible, so phase 1 is skipped. When the optimum is not
-    unique, the returned vertex can differ from a cold solve's.
+    basis is primal feasible, so phase 1 is skipped, and the state rows stay
+    implicit, so phase 2 pivots on the n(n-1) incentive rows. When the
+    optimum is not unique, the returned vertex can differ from a cold
+    solve's.
+
+    Sender and receiver payoffs are first scaled by powers of two to a
+    largest magnitude in (1/2, 1], and epsilon with the receiver's, so the
+    LP tolerances act relative to the payoffs: scaling the payoffs (and
+    epsilon) by 2**k scales the value by exactly 2**k.
     """
     _require_epsilon(epsilon)
     S, n = instance.state_count, instance.action_count
     lam = instance.state_probs
+    ks, kr = _unit_factors(instance)
+    receiver = instance.receiver_payoffs * kr
     # exact argmax, no tie tolerance, so every incentive surplus is >= 0
-    honest = np.arange(S) * n + np.argmax(instance.receiver_payoffs, axis=1)
+    honest = np.arange(S) * n + np.argmax(receiver, axis=1)
     start = np.concatenate([honest, np.full(n * (n - 1), -1)])
-    out = solve(direct_scheme_lp(lam, instance.sender_payoffs,
-                                 instance.receiver_payoffs, epsilon), start=start)
+    out = solve(direct_scheme_lp(lam, instance.sender_payoffs * ks, receiver,
+                                 epsilon * kr), start=start)
     if out.status != "optimal":
         raise SolverError(f"direct-scheme LP ended with status {out.status}")
     phi = out.point.reshape(S, n).copy()
@@ -97,7 +107,7 @@ def solve_exact(instance: ExplicitInstance, epsilon: float = 0.0) -> ExactSoluti
     phi /= phi.sum(axis=1, keepdims=True)
     scheme = DirectScheme(phi)
     report = audit(instance, scheme)
-    return ExactSolution(scheme=scheme, value=float(out.value), audit=report)
+    return ExactSolution(scheme=scheme, value=float(out.value) / ks, audit=report)
 
 
 def type_profiles(sizes, cap: int) -> np.ndarray:

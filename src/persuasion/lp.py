@@ -1,18 +1,17 @@
 """Self-contained dense linear programming.
 
-Implements a two-phase primal simplex on a dense tableau. All programs in
-this package are small and dense, so a tableau method is both fast enough
-and, more importantly, deterministic: identical inputs always produce the
-identical vertex. Pivoting uses the largest-coefficient rule and falls back
-to Bland's rule after a long degenerate streak, which guarantees
-termination without cycling.
+Implements a two-phase primal simplex on a dense tableau for cold solves,
+and a revised-simplex phase 2 with generalized upper bounding for solves
+from a start basis. All programs in this package are small and dense, so
+these methods are both fast enough and, more importantly, deterministic:
+identical inputs always produce the identical vertex. Pivoting uses the
+largest-coefficient rule and falls back to Bland's rule after a long
+degenerate streak, which guarantees termination without cycling.
 
 A pivot costs O(k * width) for a tableau of the given width, where k is the
 number of rows with a nonzero entry in the pivot column: the rank-1 update
 leaves all other rows alone, since it would only subtract exact zeros there.
-Tableau rows of the direct-scheme programs stay sparse: on 81-300 state
-priors a pivot touches about one row in seven on average. The phase-1 objective row
-is priced only until phase 1 ends.
+The phase-1 objective row is priced only until phase 1 ends.
 
 A program is held in matrix form (A, relations, b) over variables x >= 0,
 which the builders assemble with numpy and the constructor checks in one
@@ -26,21 +25,26 @@ structural and slack columns, and duals and Farkas vectors are recovered
 from the labels, A and the row signs. On a 300-state, 3-action
 direct-scheme program that makes each row about a quarter narrower.
 
-A start basis can skip phase 1. ``solve(lp, start=...)`` takes one entry
-per constraint: a variable index that becomes basic in that row, or -1 to
-keep the row's slack or surplus basic. The start is accepted when the
-named block A[R, cols] is diagonal with a nonzero diagonal, every other
-row is an inequality, and the basic solution is nonnegative up to
-FEAS_TOL. The basis matrix is then block lower-triangular, so B^-1 [A | b]
-and the priced phase-2 row come from one block elimination (on slice views
-when the named rows are a prefix, as in every direct-scheme start) instead
-of one pivot per row. Any other start leaves the tableau untouched and
-runs the cold solve, byte for byte as without a start. Installing the
-start is not counted as pivots. A crash solve that does not end optimal is
-redone cold: rounding error builds up pivot by pivot, and on one 243-state
-i.i.d. expansion the phase 2 from the honest start drifted into a
-numerical failure that the cold path does not hit. So a start never costs
-a certified answer.
+A start basis skips phase 1 and the tableau. ``solve(lp, start=...)``
+takes one entry per constraint: a variable index that becomes basic in
+that row, or -1 to keep the row's slack or surplus basic. The start is
+accepted when the named rows have pairwise disjoint column supports, each
+named variable has a nonzero in its own row, every other row is an
+inequality, and the basic solution is nonnegative up to FEAS_TOL. Phase 2
+then uses generalized upper bounding (Dantzig and Van Slyke, "Generalized
+upper bounding techniques", JCSS 1967): each named row stays implicit,
+with one basic key variable, and only the inverse of the basis W over the
+other rows is kept. For a direct-scheme program W is n(n-1) x n(n-1) for
+any number of states. W^-1 gets a product-form update per pivot, a
+Sherman-Morrison update when a key's set member takes over as key, and is
+refactorized every _REFACTOR_EVERY updates and when a key change moves
+more than one column of W. The pivot rules are the tableau's, so in exact
+arithmetic the path is the same. The duals come from W, and the result is
+certified from A, b and c: the point is feasible, the duals are dual
+feasible with the sign each relation asks for, and the duality gap
+closes. Any other start, and a started solve that is not certified
+optimal, runs the cold solve, byte for byte as without a start. So a
+start never costs a certified answer.
 
 Tolerances: pivot 1e-10, feasibility 1e-8. A returned "optimal" point is
 re-checked against the original constraints; anything that cannot be
@@ -167,10 +171,11 @@ class LpOutcome:
     for infeasible programs. ``pivots`` counts the simplex pivots of phase 1
     and phase 2; the pivots that drive leftover artificial variables out of
     the basis between the phases are not counted. ``start`` is "crash" when
-    a start basis given to :func:`solve` was installed, so phase 1 did not
-    run and ``pivots`` is (0, phase-2 pivots); it is "cold" otherwise, a
-    rejected start included, and so is the cold re-solve that replaces a
-    crash solve which did not end optimal.
+    a start basis given to :func:`solve` was accepted and its phase 2
+    answered, so phase 1 did not run and ``pivots`` is (0, phase-2 pivots);
+    it is "cold" otherwise, a rejected start included, and so is the cold
+    re-solve that replaces a started solve which did not end certified
+    optimal.
     """
 
     status: str
@@ -187,9 +192,10 @@ def solve(lp: LinearProgram, start=None) -> LpOutcome:
 
     ``start`` optionally names a start basis with one entry per constraint:
     a variable index that becomes basic in that row, or -1 to keep the
-    row's own slack or surplus basic. A start that cannot be installed as a
-    primal-feasible basis falls back to the cold two-phase solve (see the
-    module docstring), and so does a crash solve that does not end optimal.
+    row's own slack or surplus basic. The named rows stay implicit and phase
+    2 pivots on a basis over the other rows (see the module docstring). A
+    start that is not accepted falls back to the cold two-phase solve, and
+    so does a started solve that does not end certified optimal.
     """
     if start is not None:
         start = np.asarray(start)
@@ -198,12 +204,10 @@ def solve(lp: LinearProgram, start=None) -> LpOutcome:
             raise ValidationError("start needs one integer entry per constraint")
         if np.any(start < -1) or np.any(start >= lp.objective.size):
             raise ValidationError("start entries must be -1 or a variable index")
-        start = start.astype(int)
-    out = _simplex(lp, start)
-    if out.start == "crash" and out.status != "optimal":
-        # rounding error can build up along a long phase 2 from the start
-        out = _simplex(lp)
-    return out
+        out = _gub(lp, start.astype(int))
+        if out is not None and out.status == "optimal":
+            return out
+    return _simplex(lp)
 
 
 # ---------------------------------------------------------------------------
@@ -271,56 +275,6 @@ class _Tableau:
         self.z1 = z1
         self.priced = (z1, self.z2)
 
-    def crash(self, start: np.ndarray) -> bool:
-        """Install a start basis by one block elimination; False if rejected.
-
-        start[k] >= 0 makes that variable basic in constraint row k; -1
-        keeps the row's slack basic. The start is accepted only when the
-        named block A[R, cols] is diagonal with a nonzero diagonal and every
-        other row has a slack. Then B^-1 [A | b] is: the R rows divided by
-        their diagonal, and the other rows minus C @ (those rows), divided
-        by their slack coefficient, where C is their part of the named
-        columns. It is also rejected when an entry of B^-1 b is below
-        -FEAS_TOL. When R is a prefix of the rows, both blocks are updated
-        in place through slice views.
-        """
-        R = (start >= 0).nonzero()[0]
-        O = (start < 0).nonzero()[0]
-        if np.any(self.slack_col[O] < 0):
-            return False
-        cols = start[R]
-        T = self.T
-        D = T[np.ix_(R, cols)]
-        diag = D.diagonal()
-        if np.count_nonzero(D) != R.size or not np.all(diag):
-            return False
-        C = T[np.ix_(O, cols)]
-        slack = T[O, self.slack_col[O]]
-        # the rhs column alone decides, so a rejected start changes nothing
-        rhs = T[R, -1] / diag
-        rhs_other = (T[O, -1] - C @ rhs) / slack
-        if min(rhs.min(initial=0.0), rhs_other.min(initial=0.0)) < -FEAS_TOL:
-            return False
-        prefix = R.size == 0 or R[-1] == R.size - 1
-        TR = T[: R.size] if prefix else T[R]
-        if not np.all(diag == 1.0):  # x / 1.0 == x
-            TR /= diag[:, None]
-        # the named columns come out as exact unit vectors: x / x == 1 and,
-        # with TR[:, cols] == I, C - C @ TR[:, cols] == 0
-        if prefix:
-            TO = T[R.size:]
-            TO -= C @ TR
-            TO /= slack[:, None]
-        else:
-            T[R] = TR
-            T[O] = (T[O] - C @ TR) / slack[:, None]
-        z2 = self.z2
-        z2 -= z2[cols] @ TR
-        z2[cols] = 0.0
-        self.basis[R] = cols
-        self.basis[O] = self.slack_col[O]
-        return True
-
     def pivot(self, row: int, col: int) -> None:
         T = self.T
         piv = T[row, col]
@@ -376,17 +330,13 @@ class _Tableau:
                 return "iteration_limit"
 
 
-def _simplex(lp: LinearProgram, start: Optional[np.ndarray] = None) -> LpOutcome:
+def _simplex(lp: LinearProgram) -> LpOutcome:
     tab = _Tableau(lp)
     m = tab.m
     # the limit counts one artificial column per row, as the tableau once had
     max_iter = 2000 + 50 * (m + tab.first_art + m)
-    kind = "crash" if start is not None and tab.crash(start) else "cold"
 
-    if kind == "crash":
-        phase1_pivots = 0
-        kept_rows = np.arange(m)
-    elif m > 0:
+    if m > 0:
         tab.price_phase1()
         status = tab.run(tab.z1, tab.first_art, max_iter)
         phase1_pivots = tab.iterations
@@ -421,22 +371,187 @@ def _simplex(lp: LinearProgram, start: Optional[np.ndarray] = None) -> LpOutcome
     status = tab.run(tab.z2, tab.first_art, max_iter)
     pivots = (phase1_pivots, tab.iterations - phase1_pivots)
     if status == "iteration_limit":
-        return LpOutcome(status="numerical_failure", pivots=pivots, start=kind)
+        return LpOutcome(status="numerical_failure", pivots=pivots)
     if status == "unbounded":
-        return LpOutcome(status="unbounded", pivots=pivots, start=kind)
+        return LpOutcome(status="unbounded", pivots=pivots)
 
     # no artificial label is basic after phase 1
     u = np.zeros(tab.first_art)
     u[tab.basis] = tab.T[:, -1]
     if np.any(u[tab.basis] < -FEAS_TOL):
-        return LpOutcome(status="numerical_failure", pivots=pivots, start=kind)
+        return LpOutcome(status="numerical_failure", pivots=pivots)
     x = u[: tab.n_struct] + 0.0  # a -0.0 entry comes back as 0.0
     if not _feasible(lp, x):
-        return LpOutcome(status="numerical_failure", pivots=pivots, start=kind)
+        return LpOutcome(status="numerical_failure", pivots=pivots)
     value = float(lp.objective @ x)
     duals = _duals(lp, tab, kept_rows, u)
     return LpOutcome(status="optimal", value=value, point=x, duals=duals,
-                     pivots=pivots, start=kind)
+                     pivots=pivots)
+
+
+# ---------------------------------------------------------------------------
+# phase 2 from a start basis, with generalized upper bounding
+
+_REFACTOR_EVERY = 32  # product-form updates of W^-1 between refactorizations
+
+
+def _gub(lp: LinearProgram, start: np.ndarray) -> Optional[LpOutcome]:
+    """Revised-simplex phase 2 from a start basis; None if it is rejected.
+
+    Each named row k is a set: the variables with a nonzero in it, and its
+    slack if it is an inequality. One basic variable per set, its key,
+    stays implicit: key = (b_k - sum of g_j x_j over the set's other
+    basics) / g_key, where g_j is j's coefficient in row k. On the other
+    (working) rows, column j then acts as d_j = a_j - a_key g_j / g_key and
+    its cost as c_j - c_key g_j / g_key. Only W^-1 is kept, for the basis W
+    of the non-key basics on the working rows. Pricing is one mat-vec over
+    the d_j and the entering column another; the ratio test covers W's
+    basics and the keys that move. The pivot rules are the tableau's, so in
+    exact arithmetic the path is the same. The result is certified from A.
+    """
+    A, b, c, rel = lp.A, lp.b, lp.objective, lp.relations
+    m, n = A.shape
+    R, O = (start >= 0).nonzero()[0], (start < 0).nonzero()[0]
+    K, P = R.size, O.size
+    AR = A[R[0]:R[0] + K] if K and R[-1] == R[0] + K - 1 else A[R]  # a view if contiguous
+    hit = AR != 0.0
+    eq, le = rel == "=", rel == "<="
+    if eq[O].any() or (hit.sum(axis=0) > 1).any():
+        return None  # a working row without slack, or overlapping named rows
+    slack_rows = (~eq).nonzero()[0]  # slack k has label n + k
+    N = n + slack_rows.size
+    set_of_row = np.full(m, -1)
+    set_of_row[R] = np.arange(K)
+    slack_sign = np.where(le[slack_rows], 1.0, -1.0)
+    # the set of each variable (-1 for none) and its coefficient in that row
+    g = AR.sum(axis=0)  # a column's one nonzero
+    s = np.concatenate([np.where(g != 0.0, hit.argmax(axis=0) if K else 0, -1),
+                        set_of_row[slack_rows]])
+    g = np.concatenate([g, np.where(s[n:] >= 0, slack_sign, 0.0)])
+    key = start[R]
+    if (s[key] != np.arange(K)).any():
+        return None  # a named variable is not in its row
+    wb = n + (s[n:] < 0).nonzero()[0]  # the working rows' slacks, in row order
+    # one line per variable: its coefficients in the working rows, then its cost
+    AC = np.zeros((N, P + 1))
+    AC[:n, :P] = A[O].T
+    AC[:n, P] = c
+    AC[wb, np.arange(P)] = slack_sign[wb - n]
+    members = np.argsort(s, kind="stable")
+    first = np.searchsorted(s[members], np.arange(K + 1))
+    G = members[first[0]:]
+    kG = key[s[G]]
+    DC = AC.copy()  # the same, reduced against the keys
+    DC[G] -= (g[G] / g[kG])[:, None] * AC[kG]
+
+    def rekey(k):  # the lines of set k against its new key
+        G, j = members[first[k]:first[k + 1]], key[k]
+        DC[G] = AC[G] - (g[G] / g[j])[:, None] * AC[j]
+
+    lab = np.concatenate([wb, key])  # basics: W's columns, then the keys
+    val, col = np.empty(P + K), np.empty(P + K)
+    col_w, col_k = col[:P], col[P:]
+    Winv, neg_gkey = np.empty((P, P)), np.empty(K)
+    price = np.ones(P + 1)  # (-pi, 1): DC @ price are the reduced costs
+    neg_pi = price[:P]
+    neg_cw, sw, gw = np.empty(P), np.empty(P, dtype=int), np.empty(P)  # W's columns
+
+    def factor() -> bool:
+        try:
+            Winv[...] = np.linalg.inv(DC[wb, :P].T)
+        except np.linalg.LinAlgError:
+            return False
+        neg_gkey[:] = -g[key]
+        neg_cw[:], sw[:], gw[:] = -DC[wb, P], s[wb] + 1, g[wb]
+        xk = b[R] / g[key]
+        val[:P] = Winv @ (b[O] - xk @ AC[key, :P])
+        val[P:] = xk + np.bincount(sw, gw * val[:P], minlength=K + 1)[1:] / neg_gkey
+        return True
+
+    if not factor() or val.min(initial=0.0) < -FEAS_TOL:
+        return None
+    max_iter = 2000 + 50 * (2 * m + N)
+    bland, streak, it, since = False, 0, 0, 0  # since: updates since factor()
+    status = "optimal"
+    while True:
+        np.matmul(neg_cw, Winv, out=neg_pi)
+        r = DC @ price
+        q = (r > PIVOT_TOL).argmax() if bland else r.argmax()
+        if r[q] <= PIVOT_TOL:
+            break
+        alpha = Winv @ DC[q, :P]
+        col_w[:] = alpha
+        np.divide(np.bincount(sw, gw * alpha, minlength=K + 1)[1:], neg_gkey, out=col_k)
+        if s[q] >= 0:
+            col[P + s[q]] -= g[q] / neg_gkey[s[q]]
+        pos = (col > PIVOT_TOL).nonzero()[0]
+        if pos.size == 0:
+            status = "unbounded"
+            break
+        ratios = val[pos] / col[pos]
+        best = ratios.min()
+        ties = pos[ratios <= best + PIVOT_TOL]
+        # smallest basis label among ties keeps Bland's rule valid
+        leave = ties[lab[ties].argmin()] if ties.size > 1 else ties[0]
+        streak = streak + 1 if best <= PIVOT_TOL else 0
+        bland = bland or streak >= _DEGENERATE_SWITCH
+        theta = val[leave] / col[leave]
+        val -= theta * col
+        it += 1
+        if it > max_iter:
+            status = "numerical_failure"
+            break
+        stale = False  # W changed in more than one column
+        if leave >= P:  # a key leaves: q, or a basic of W in its set, is the new key
+            k = leave - P
+            mine = (sw == k + 1).nonzero()[0]
+            if s[q] == k:
+                key[k] = lab[leave] = q
+                val[leave] = theta
+                if mine.size:  # their columns move by -d_q v^T: Sherman-Morrison
+                    v = np.zeros(P)
+                    v[mine] = gw[mine] / g[q]
+                    Winv += np.outer(alpha, v @ Winv) / (1.0 - v @ alpha)
+                    since += 1
+            else:  # that basic's column of W goes to q
+                leave = mine[0]
+                key[k] = lab[P + k] = wb[leave]
+                val[P + k] = val[leave]
+                stale = mine.size > 1
+            neg_gkey[k] = -g[key[k]]
+            rekey(k)
+            neg_cw[mine] = -DC[wb[mine], P]
+        if leave < P:
+            if not stale:  # product-form update of W^-1
+                Winv[leave] /= alpha[leave]
+                alpha[leave] = 0.0
+                Winv -= alpha[:, None] * Winv[leave]
+                since += 1
+            wb[leave] = lab[leave] = q
+            val[leave], neg_cw[leave], sw[leave], gw[leave] = theta, -DC[q, P], s[q] + 1, g[q]
+        if stale or since >= _REFACTOR_EVERY:
+            since = 0
+            if not factor():
+                status = "numerical_failure"
+                break
+    pivots = (0, it)
+    if status != "optimal":
+        return LpOutcome(status=status, pivots=pivots, start="crash")
+    x = np.zeros(N)
+    x[lab] = val
+    x = x[:n] + 0.0  # a -0.0 entry comes back as 0.0
+    y = np.empty(m)
+    y[O] = pi = -neg_pi
+    y[R] = (AC[key, P] - AC[key, :P] @ pi) / g[key]
+    value = float(c @ x)
+    tol = FEAS_TOL * max(1.0, float(np.abs(c).max()))
+    if (val.min(initial=0.0) < -FEAS_TOL or not _feasible(lp, x)
+            or (c - A.T @ y > tol).any() or (y[le] < -tol).any()
+            or (y[~(le | eq)] > tol).any()
+            or abs(value - y @ b) > 1e-7 * max(1.0, abs(value))):
+        return LpOutcome(status="numerical_failure", pivots=pivots, start="crash")
+    return LpOutcome(status="optimal", value=value, point=x, duals=y,
+                     pivots=pivots, start="crash")
 
 
 def _feasible(lp: LinearProgram, x: np.ndarray) -> bool:

@@ -7,6 +7,7 @@ Actions and signals are indexed from 0 throughout the package.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -79,6 +80,18 @@ class ExplicitInstance:
     @property
     def action_count(self) -> int:
         return self.sender_payoffs.shape[1]
+
+
+def _unit_factors(instance: ExplicitInstance):
+    """(ks, kr): the powers of two that bring the largest magnitude of the
+    sender and of the receiver payoffs into (1/2, 1] (1.0 for an all-zero
+    matrix). Scaling by them is exact, so tolerances applied to the scaled
+    payoffs act relative to the payoffs."""
+    def factor(payoffs):
+        mant, e = math.frexp(max(payoffs.max(), -payoffs.min()))  # mant in [1/2, 1)
+        return math.ldexp(1.0, (mant == 0.5) - e)
+
+    return factor(instance.sender_payoffs), factor(instance.receiver_payoffs)
 
 
 @dataclass(frozen=True)

@@ -45,6 +45,7 @@ from .model import (
     ExplicitInstance,
     IIDInstance,
     InverseCDF,
+    _unit_factors,
     best_response,
     best_response_many,
 )
@@ -53,6 +54,7 @@ VERTEX_DET_TOL = 1e-12  # on unit normals and the all-ones row
 SIMPLEX_TOL = 1e-12
 ORACLE_PROFILE_CAP = 4096
 BLOCK_TRIALS = 2 ** 14  # trials per block of the Monte-Carlo cell sums
+_GATHER_BLOCK = 2 ** 16  # (trial, signal) entries per sampler block
 
 
 # ---------------------------------------------------------------------------
@@ -131,10 +133,14 @@ class DirectSchemeSampler:
         return int(self.sample_many(np.array([state]), rng)[0])
 
     def sample_many(self, states: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        rows = self._cum[states]
         draws = rng.random((states.size, 1))
         k = self.scheme.signal_count
-        return np.minimum((rows <= draws).sum(axis=1), k - 1)
+        out = np.empty(states.size, dtype=np.intp)
+        rows = -(-_GATHER_BLOCK // k)  # blocks: no (T, k) gather or compare
+        for lo in range(0, states.size, rows):
+            block = slice(lo, lo + rows)
+            (self._cum[states[block]] <= draws[block]).sum(axis=1, out=out[block])
+        return np.minimum(out, k - 1, out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +367,7 @@ def concavification_value(instance: ExplicitInstance, resolution=None) -> float:
     (receiver ties go to the sender), so its concave envelope is attained
     on cell vertices. The envelope at the prior is one LP with S rows over
     those vertices and the prior. Sender and receiver payoffs are first
-    scaled by powers of two to a largest magnitude in [1/2, 1), so the
+    scaled by powers of two to a largest magnitude in (1/2, 1], so the
     tie and LP tolerances act relative to the payoffs. This is exact for
     S <= 3 and independent of solve_exact; larger instances raise
     InstanceTooLargeError. resolution has no effect: it is kept only
@@ -370,8 +376,7 @@ def concavification_value(instance: ExplicitInstance, resolution=None) -> float:
     S = instance.state_count
     if S > 3:
         raise InstanceTooLargeError(S, 3)
-    ks, kr = (np.ldexp(1.0, -np.frexp(np.abs(m).max())[1])
-              for m in (instance.sender_payoffs, instance.receiver_payoffs))
+    ks, kr = _unit_factors(instance)
     unit = ExplicitInstance(instance.state_probs, instance.sender_payoffs * ks,
                             instance.receiver_payoffs * kr)
     pts = np.vstack([_arrangement_vertices(unit), unit.state_probs[None, :]])

@@ -155,16 +155,50 @@ def test_solve_exact_starts_from_the_honest_basis(monkeypatch):
             assert sol.audit.epsilon_certified <= eps + 1e-9
 
 
-def test_crash_solve_that_drifts_is_redone_cold():
-    # on this 243-state expansion the phase 2 from the honest start ends in
-    # a numerical failure; solve_exact must still return the cold optimum
+def test_started_solve_does_not_drift(monkeypatch):
+    # on this 243-state expansion the dense tableau's phase 2 from the honest
+    # start drifted into a numerical failure and had to be redone cold; the
+    # started solve itself must end optimal, with certified duals
     inst = IIDInstance(
         5, [0.3886310828860473, 0.19713255945502944, 0.4142363576589233],
         [0.6864713752330084, 0.8011186824753419, 0.6880673265152568],
         [0.7509172532347691, 0.5264033615780219, 0.8085788748219793])
     full = expand_product(inst)
+    seen = []
+
+    def recording(lp, **kwargs):
+        out = solve(lp, **kwargs)
+        seen.append((lp, out))
+        return out
+
+    monkeypatch.setattr(exact, "solve", recording)
     sol = solve_exact(full)
+    (lp, out), = seen
+    assert out.start == "crash" and out.pivots[0] == 0
+    y = out.duals
+    assert y is not None
+    assert np.all(lp.objective - lp.A.T @ y <= 1e-9)
+    assert np.all(y[lp.relations == ">="] <= 1e-9)
+    assert y @ lp.b == pytest.approx(out.value, abs=1e-9)
     cold = solve(direct_scheme_lp(full.state_probs, full.sender_payoffs,
                                   full.receiver_payoffs, 0.0))
     assert sol.value == pytest.approx(cold.value, abs=1e-9)
     assert sol.audit.epsilon_certified <= 1e-9
+
+
+@pytest.mark.parametrize("k", [20, -20, 30, -30, -40])
+def test_solve_exact_scales_with_payoffs(k):
+    # the LP sees payoffs scaled by powers of two to a largest magnitude in
+    # [1/2, 1), so scaling them by 2**k scales the value exactly by 2**k
+    rng = np.random.default_rng(97)
+    f = 2.0 ** k
+    for _ in range(40):
+        inst = fixtures.random_explicit(rng, int(rng.integers(2, 40)),
+                                        int(rng.integers(2, 5)))
+        scaled = ExplicitInstance(inst.state_probs, inst.sender_payoffs * f,
+                                  inst.receiver_payoffs * f)
+        for eps in (0.0, 0.05):
+            base, sol = solve_exact(inst, eps), solve_exact(scaled, eps * f)
+            assert sol.value == base.value * f
+            assert np.array_equal(sol.scheme.phi, base.scheme.phi)
+            assert sol.audit.min_slack >= -(eps + 1e-9) * f

@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from persuasion import fixtures, verify
+from persuasion import lp as lp_module
 from persuasion.errors import ValidationError
-from persuasion.exact import direct_scheme_lp
+from persuasion.exact import direct_scheme_lp, expand_product
 from persuasion.lp import LinearProgram, LpOutcome, _Tableau, solve
 from persuasion.model import ExplicitInstance
 
@@ -462,21 +463,77 @@ def test_start_on_general_programs():
     assert solve(LinearProgram([1.0], [([1.0], "<=", 3.0)]), start=[0]).pivots == (0, 0)
 
 
+def _random_direct_case(rng):
+    """A random (instance, epsilon): receiver ties, zero-probability states,
+    epsilon > 0, n = 1 (no incentive rows) and S = 1 all occur."""
+    S = 1 if rng.random() < 0.15 else int(rng.integers(2, 40))
+    n = int(rng.integers(1, 6))
+    inst = fixtures.random_explicit(rng, S, n, nonnegative=bool(rng.integers(2)))
+    probs, receiver = inst.state_probs.copy(), inst.receiver_payoffs
+    if rng.random() < 0.5:
+        probs[rng.random(S) < 0.3] = 0.0
+        probs[rng.integers(S)] += 0.5
+        probs /= probs.sum()
+    if rng.random() < 0.5:
+        receiver = np.round(receiver * 2.0) / 2.0
+    return (ExplicitInstance(probs, inst.sender_payoffs, receiver),
+            float(rng.choice([0.0, 0.05, 0.2])))
+
+
+def test_started_solve_matches_cold_solve_on_random_programs():
+    rng = np.random.default_rng(1967)
+    corners = set()
+    for _ in range(200):
+        inst, eps = _random_direct_case(rng)
+        lp = _direct_lp(inst, eps)
+        started, cold = solve(lp, start=_honest_start(inst)), solve(lp)
+        assert started.start == "crash" and cold.start == "cold"
+        assert started.pivots[0] == 0
+        _assert_certified(lp, started)
+        _assert_certified(lp, cold)
+        assert started.value == pytest.approx(cold.value, abs=1e-9)
+        corners.add((inst.state_count == 1, inst.action_count == 1))
+    assert corners == {(False, False), (False, True), (True, False), (True, True)}
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_started_solve_matches_highs_on_729_states(seed):
+    pytest.importorskip("scipy")
+    inst = expand_product(fixtures.random_iid(np.random.default_rng(seed),
+                                              actions=6, types=3))
+    assert inst.state_count == 729
+    for eps in (0.0, 0.05):
+        lp = _direct_lp(inst, eps)
+        out = solve(lp, start=_honest_start(inst))
+        assert out.start == "crash"
+        _assert_certified(lp, out)
+        assert out.value == pytest.approx(-_highs(lp).fun, abs=1e-7)
+
+
 def test_crash_solve_that_fails_is_redone_cold(monkeypatch):
     inst = fixtures.random_explicit(np.random.default_rng(9), 30, 3)
     lp = _direct_lp(inst, 0.05)
     cold = solve(lp)
-    run = _Tableau.run
+    factorizations = []
+    inv = np.linalg.inv
 
-    def failing(self, z, allowed_upto, max_iter):
-        # only the crash path reaches phase 2 without a phase-1 row
-        if self.z1 is None:
-            return "iteration_limit"
-        return run(self, z, allowed_upto, max_iter)
+    def failing(a):
+        # the first factorization installs the start; a later one is the
+        # GUB loop's refactorization, which now fails
+        factorizations.append(a.shape)
+        if len(factorizations) > 1:
+            raise np.linalg.LinAlgError("singular working basis")
+        return inv(a)
 
-    monkeypatch.setattr(_Tableau, "run", failing)
+    monkeypatch.setattr(np.linalg, "inv", failing)
+    monkeypatch.setattr(lp_module, "_REFACTOR_EVERY", 1)
     out = solve(lp, start=_honest_start(inst))
+    assert len(factorizations) == 2
     assert out.start == "cold" and _as_bytes(out) == _as_bytes(cold)
+    # a started solve that ends unbounded is redone cold, and so ends unbounded
+    lp = LinearProgram([1.0, 1.0], [([1.0, 0.0], "<=", 1.0)])
+    out = solve(lp, start=[0])
+    assert out.status == "unbounded" and out.start == "cold" and out.pivots[0] == 0
 
 
 @pytest.mark.parametrize("start", [[0], [0, 0, 0], [0.0, -1.0], [-2, 0], [0, 2]])

@@ -20,7 +20,7 @@ from persuasion.iid import border_feasible
 from persuasion.khintchine import TwoSignalSignature, sign_dot_products
 from persuasion.lp import Constraint, LinearProgram, _Tableau, solve
 from persuasion.model import (DirectScheme, ExplicitInstance, IIDInstance,
-                              IndependentInstance, Marginal)
+                              IndependentInstance, Marginal, _unit_factors)
 
 
 def _same_program(new, old):
@@ -241,8 +241,10 @@ def test_empirical_lp_matches_row_builder():
         uniq, _, counts = np.unique(np.hstack([s, r]), axis=0, return_inverse=True,
                                     return_counts=True)
         n = s.shape[1]
+        # solve_exact scales the payoffs by powers of two before building
+        ks, kr = _unit_factors(ExplicitInstance(counts / 400, uniq[:, :n], uniq[:, n:]))
         _same_program(seen[0], _rows_direct_scheme_lp(
-            counts / 400, uniq[:, :n], uniq[:, n:], eps))
+            counts / 400, uniq[:, :n] * ks, uniq[:, n:] * kr, eps * kr))
 
 
 def _iid_cases():
@@ -461,48 +463,10 @@ def test_zero_shift_rhs_matches_per_row_products():
 
 
 # ---------------------------------------------------------------------------
-# the crash install on slice views against the copying install
+# started solves against the cold solve, on named rows that are a prefix or not
 
 
-def _copying_crash(self, start):
-    """Reference install: fancy-index copies of both row blocks."""
-    R = (start >= 0).nonzero()[0]
-    O = (start < 0).nonzero()[0]
-    if np.any(self.slack_col[O] < 0):
-        return False
-    cols = start[R]
-    T = self.T
-    D = T[np.ix_(R, cols)]
-    diag = D.diagonal()
-    if np.count_nonzero(D) != R.size or not np.all(diag):
-        return False
-    C = T[np.ix_(O, cols)]
-    slack = T[O, self.slack_col[O]]
-    rhs = T[R, -1] / diag
-    rhs_other = (T[O, -1] - C @ rhs) / slack
-    if min(rhs.min(initial=0.0), rhs_other.min(initial=0.0)) < -1e-8:
-        return False
-    TR = T[R]
-    TR /= diag[:, None]
-    T[R] = TR
-    T[O] = (T[O] - C @ TR) / slack[:, None]
-    z2 = self.z2
-    z2 -= z2[cols] @ TR
-    z2[cols] = 0.0
-    self.basis[R] = cols
-    self.basis[O] = self.slack_col[O]
-    return True
-
-
-def _as_bytes(out):
-    def raw(a):
-        return None if a is None else np.asarray(a, dtype=float).tobytes()
-
-    return (out.status, raw(out.value), raw(out.point), raw(out.duals),
-            raw(out.certificate), out.pivots, out.start)
-
-
-def test_crash_on_views_is_bit_identical_to_copying_install(monkeypatch):
+def test_started_solve_matches_cold_solve_on_named_row_layouts():
     rng = np.random.default_rng(31)
     programs = []
     for eps in (0.0, 0.05):
@@ -520,12 +484,19 @@ def test_crash_on_views_is_bit_identical_to_copying_install(monkeypatch):
                        b=np.repeat([3.0, 30.0], [4, 2]))
     programs += [(lp, np.array([0, 1, 2, 3, -1, -1])),  # a prefix
                  (lp, np.array([-1, 1, 2, 3, -1, -1]))]  # not a prefix
-    fast = [solve(lp, start=start) for lp, start in programs]
-    monkeypatch.setattr(_Tableau, "crash", _copying_crash)
-    slow = [solve(lp, start=start) for lp, start in programs]
-    assert all(out.start == "crash" for out in fast)
-    for k, (a, b) in enumerate(zip(fast, slow)):
-        assert _as_bytes(a) == _as_bytes(b), f"program {k} differs"
+    for k, (lp, start) in enumerate(programs):
+        started, cold = solve(lp, start=start), solve(lp)
+        assert started.start == "crash" and cold.start == "cold", f"program {k}"
+        assert started.value == pytest.approx(cold.value, abs=1e-9)
+        x, y, rel = started.point, started.duals, lp.relations
+        lhs = lp.A @ x
+        assert np.all(x >= -1e-9)
+        assert np.all(lhs[rel == "<="] <= lp.b[rel == "<="] + 1e-9)
+        assert np.all(lhs[rel == ">="] >= lp.b[rel == ">="] - 1e-9)
+        assert np.all(np.abs(lhs - lp.b)[rel == "="] <= 1e-9)
+        assert np.all(y[rel == "<="] >= -1e-9) and np.all(y[rel == ">="] <= 1e-9)
+        assert np.all(lp.objective - lp.A.T @ y <= 1e-9)
+        assert y @ lp.b == pytest.approx(started.value, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------

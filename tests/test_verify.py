@@ -466,6 +466,21 @@ def test_evaluation_memory_stays_below_the_payoff_matrices():
     assert peak < 32e6
 
 
+
+def test_direct_scheme_sampler_compares_in_blocks():
+    # blocks of cumulative rows keep the traced peak near 31 MiB here; one
+    # (trials, signals) gather and its comparison peaked near 46 MiB
+    inst = expand_product(fixtures.investor())
+    sampler, source = DirectSchemeSampler(honest_scheme(inst)), ExplicitSource(inst)
+    monte_carlo_eval(sampler, source, 10, np.random.default_rng(0))
+    tracemalloc.start()
+    try:
+        monte_carlo_eval(sampler, source, 10 ** 6, np.random.default_rng(3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 35 * 2 ** 20
+
 def test_independent_guarantee_frees_each_instance_before_the_next():
     # with one instance's (10**6, n) draws alive at a time the traced peak is
     # about 89 MiB; kept alive into the next instance's draws, 144 MiB
