@@ -15,7 +15,7 @@ from .errors import (
     SolverError,
     ValidationError,
 )
-from .lp import Constraint, LinearProgram, LpOutcome, solve
+from .lp import LinearProgram, LpOutcome, solve
 from .model import (
     AuditReport,
     DirectScheme,

@@ -95,8 +95,6 @@ class EmpiricalScheme:
     value is the empirical LP optimum.
     """
 
-    sender_samples: np.ndarray
-    receiver_samples: np.ndarray
     phi: np.ndarray
     epsilon: float
     value: float
@@ -156,8 +154,6 @@ def solve_empirical_lp(samples, epsilon: float) -> EmpiricalScheme:
     if slack.min() < -IC_TOL:
         raise SolverError(f"empirical scheme violates relaxed IC by {-slack.min():.3e}")
     return EmpiricalScheme(
-        sender_samples=s,
-        receiver_samples=r,
         phi=sol.scheme.phi[inverse],
         epsilon=float(epsilon),
         value=sol.value,

@@ -107,10 +107,6 @@ class Signature:
         M.setflags(write=False)
         object.__setattr__(self, "matrices", M)
 
-    @property
-    def signal_probs(self) -> np.ndarray:
-        return self.matrices.sum(axis=2)[:, 0]
-
 
 @dataclass(frozen=True)
 class AllocationRule:

@@ -4,9 +4,10 @@ Implements a two-phase primal simplex on a dense tableau for cold solves,
 and a revised-simplex phase 2 with generalized upper bounding for solves
 from a start basis. All programs in this package are small and dense, so
 these methods are both fast enough and, more importantly, deterministic:
-identical inputs always produce the identical vertex. Pivoting uses the
-largest-coefficient rule and falls back to Bland's rule after a long
-degenerate streak, which guarantees termination without cycling.
+identical inputs always produce the identical vertex. Both paths pivot by
+one rule (_PivotRule): the largest-coefficient entering column, a ratio
+test whose ties go to the smallest basis label, and Bland's rule after a
+long degenerate streak, which guarantees termination without cycling.
 
 A pivot costs O(k * width) for a tableau of the given width, where k is the
 number of rows with a nonzero entry in the pivot column: the rank-1 update
@@ -15,9 +16,8 @@ The phase-1 objective row is priced only until phase 1 ends.
 
 A program is held in matrix form (A, relations, b) over variables x >= 0,
 which the builders assemble with numpy and the constructor checks in one
-vectorized pass; row input is stacked once (see LinearProgram). The
-tableau copies A into place, negating the rows whose rhs is negative, and
-the returned point is checked with one A @ x.
+vectorized pass. The tableau copies A into place, negating the rows whose
+rhs is negative.
 
 The tableau has no artificial columns. Artificial variables exist only as
 basis labels: phase 1 prices and the drive-out step reads only the
@@ -38,18 +38,18 @@ other rows is kept. For a direct-scheme program W is n(n-1) x n(n-1) for
 any number of states. W^-1 gets a product-form update per pivot, a
 Sherman-Morrison update when a key's set member takes over as key, and is
 refactorized every _REFACTOR_EVERY updates and when a key change moves
-more than one column of W. The pivot rules are the tableau's, so in exact
-arithmetic the path is the same. The duals come from W, and the result is
-certified from A, b and c: the point is feasible, the duals are dual
-feasible with the sign each relation asks for, and the duality gap
-closes. Any other start, and a started solve that is not certified
-optimal, runs the cold solve, byte for byte as without a start. So a
-start never costs a certified answer.
+more than one column of W. The pivot rule is the tableau's, so in exact
+arithmetic the path is the same, and the duals come from W. Any other
+start, and a started solve that is not certified optimal, runs the cold
+solve, byte for byte as without a start. So a start never costs a
+certified answer.
 
-Tolerances: pivot 1e-10, feasibility 1e-8. A returned "optimal" point is
-re-checked against the original constraints; anything that cannot be
+Both paths return through one certificate (_certify), computed from A, b
+and c: the point is feasible, the duals are dual feasible with the sign
+each relation asks for, and the duality gap closes. Tolerances: pivot
+1e-10, feasibility 1e-8, gap 1e-7 relative. An answer that cannot be
 certified comes back with status "numerical_failure", never as a wrong
-optimum.
+optimum or as an optimum without duals.
 """
 
 from __future__ import annotations
@@ -64,25 +64,6 @@ from .errors import ValidationError
 
 PIVOT_TOL = 1e-10
 FEAS_TOL = 1e-8
-
-@dataclass(frozen=True)
-class Constraint:
-    coeffs: np.ndarray
-    relation: str
-    rhs: float
-
-
-def _stack_rows(constraints, n: int):
-    """(A, relations, b) from Constraint objects or (coeffs, relation, rhs)."""
-    rows = [(c.coeffs, c.relation, c.rhs) if isinstance(c, Constraint) else c
-            for c in constraints]
-    for k, (coeffs, _, _) in enumerate(rows):
-        if np.shape(coeffs) != (n,):
-            raise ValidationError(
-                f"constraint {k}: expected {n} coefficients, got {np.shape(coeffs)}")
-    coeffs, relations, rhs = zip(*rows) if rows else ((), (), ())
-    return np.array(coeffs, dtype=float).reshape(len(rows), n), relations, rhs
-
 
 def _checked_relations(relations, k: int) -> np.ndarray:
     """k relations, each "<=", "=" or ">=", as a "<U2" array."""
@@ -105,8 +86,8 @@ class _Rows(Sequence):
     def __len__(self) -> int:
         return self._lp.b.size
 
-    def __getitem__(self, k: int) -> Constraint:
-        return Constraint(self._lp.A[k], str(self._lp.relations[k]), float(self._lp.b[k]))
+    def __getitem__(self, k: int) -> tuple:
+        return self._lp.A[k], str(self._lp.relations[k]), float(self._lp.b[k])
 
 
 @dataclass(frozen=True)
@@ -115,10 +96,8 @@ class LinearProgram:
 
     Constraints are ``A`` (k x n), ``relations`` (k of "<=", "=", ">=")
     and ``b`` (k), checked in one vectorized pass and kept as read-only
-    views, not copies. Row input,
-    ``LinearProgram(c, [(coeffs, relation, rhs) or Constraint, ...])``, is
-    stacked once; ``constraints`` reads the rows back from A. Every
-    variable is nonnegative; a bound of another kind is written as a row.
+    views, not copies. Every variable is nonnegative; a bound of another
+    kind is written as a row.
     """
 
     objective: np.ndarray
@@ -126,23 +105,16 @@ class LinearProgram:
     relations: np.ndarray
     b: np.ndarray
 
-    def __init__(self, objective, constraints=(), *, A=None, relations=None, b=None):
+    def __init__(self, objective, *, A, relations, b):
         c = np.asarray(objective, dtype=float)
         if c.ndim != 1 or c.size == 0:
             raise ValidationError("objective must be a nonempty vector")
         if not np.all(np.isfinite(c)):
             raise ValidationError("objective coefficients must be finite")
-        n = c.size
-        if A is None:
-            if relations is not None or b is not None:
-                raise ValidationError("relations and b need A")
-            A, relations, b = _stack_rows(constraints, n)
-        elif len(constraints):
-            raise ValidationError("give constraints as rows or as A, not both")
         A = np.ascontiguousarray(A, dtype=float)
         b = np.asarray(b, dtype=float)
-        if b.ndim != 1 or A.shape != (b.size, n):
-            raise ValidationError(f"A must have shape ({b.size}, {n}), got {A.shape}")
+        if b.ndim != 1 or A.shape != (b.size, c.size):
+            raise ValidationError(f"A must have shape ({b.size}, {c.size}), got {A.shape}")
         rel = _checked_relations(relations, b.size)
         for name, values in (("rhs", b[:, None]), ("coefficients", A)):
             finite = np.isfinite(values).all(axis=1)
@@ -156,7 +128,7 @@ class LinearProgram:
 
     @property
     def constraints(self) -> Sequence:
-        """The rows as Constraint objects over views of A (read-only)."""
+        """The rows as (coeffs, relation, rhs) tuples over views of A (read-only)."""
         return _Rows(self)
 
 
@@ -166,8 +138,9 @@ class LpOutcome:
 
     status is one of "optimal", "infeasible", "unbounded",
     "numerical_failure". When optimal, ``point`` is a vertex and ``duals``
-    holds one multiplier per constraint (None when the duality gap could
-    not be certified). ``certificate`` carries a best-effort Farkas vector
+    holds one multiplier per constraint; on either path the two certify
+    each other (see the module docstring), and an answer that does not is
+    "numerical_failure". ``certificate`` carries a best-effort Farkas vector
     for infeasible programs. ``pivots`` counts the simplex pivots of phase 1
     and phase 2; the pivots that drive leftover artificial variables out of
     the basis between the phases are not counted. ``start`` is "crash" when
@@ -195,7 +168,8 @@ def solve(lp: LinearProgram, start=None) -> LpOutcome:
     row's own slack or surplus basic. The named rows stay implicit and phase
     2 pivots on a basis over the other rows (see the module docstring). A
     start that is not accepted falls back to the cold two-phase solve, and
-    so does a started solve that does not end certified optimal.
+    so does a started solve that does not end certified optimal. An
+    "optimal" outcome carries certified duals whichever path answered.
     """
     if start is not None:
         start = np.asarray(start)
@@ -214,6 +188,37 @@ def solve(lp: LinearProgram, start=None) -> LpOutcome:
 # tableau simplex
 
 _DEGENERATE_SWITCH = 40  # consecutive degenerate pivots before Bland's rule
+
+
+class _PivotRule:
+    """The pivot rule of both simplex paths, with its degenerate streak.
+
+    The entering column has the largest reduced cost, or after
+    _DEGENERATE_SWITCH degenerate pivots in a row the first positive one
+    (Bland's rule). The leaving basic wins the ratio test, ties going to
+    the smallest basis label, which keeps Bland's rule valid.
+    """
+
+    def __init__(self):
+        self.bland, self.streak = False, 0
+
+    def enter(self, r: np.ndarray) -> Optional[int]:
+        """The entering column for reduced costs r; None when optimal."""
+        q = int((r > PIVOT_TOL).argmax() if self.bland else r.argmax())
+        return q if r[q] > PIVOT_TOL else None
+
+    def leave(self, col: np.ndarray, val: np.ndarray, labels: np.ndarray) -> Optional[int]:
+        """The leaving basic for an entering column col over basic values val
+        and basis labels; None when the column is unbounded."""
+        pos = (col > PIVOT_TOL).nonzero()[0]
+        if pos.size == 0:
+            return None
+        ratios = val[pos] / col[pos]
+        best = ratios.min()
+        ties = pos[ratios <= best + PIVOT_TOL]
+        self.streak = self.streak + 1 if best <= PIVOT_TOL else 0
+        self.bland = self.bland or self.streak >= _DEGENERATE_SWITCH
+        return int(ties[labels[ties].argmin()])
 
 
 class _Tableau:
@@ -295,35 +300,14 @@ class _Tableau:
 
     def run(self, z: np.ndarray, allowed_upto: int, max_iter: int) -> str:
         """Pivot until optimal/unbounded on objective row z (maximization)."""
-        T = self.T
-        bland = False
-        degenerate_streak = 0
+        rule = _PivotRule()
         while True:
-            cols = z[:allowed_upto]
-            if bland:
-                candidates = np.nonzero(cols > PIVOT_TOL)[0]
-                if candidates.size == 0:
-                    return "optimal"
-                enter = int(candidates[0])
-            else:
-                enter = int(np.argmax(cols))
-                if cols[enter] <= PIVOT_TOL:
-                    return "optimal"
-            col = T[:, enter]
-            pos = np.nonzero(col > PIVOT_TOL)[0]
-            if pos.size == 0:
+            enter = rule.enter(z[:allowed_upto])
+            if enter is None:
+                return "optimal"
+            leave = rule.leave(self.T[:, enter], self.T[:, -1], self.basis)
+            if leave is None:
                 return "unbounded"
-            ratios = T[pos, -1] / col[pos]
-            best = ratios.min()
-            ties = pos[ratios <= best + PIVOT_TOL]
-            # smallest basis index among ties keeps Bland's rule valid
-            leave = int(ties[np.argmin(self.basis[ties])])
-            if best <= PIVOT_TOL:
-                degenerate_streak += 1
-                if degenerate_streak >= _DEGENERATE_SWITCH:
-                    bland = True
-            else:
-                degenerate_streak = 0
             self.pivot(leave, enter)
             self.iterations += 1
             if self.iterations > max_iter:
@@ -378,15 +362,9 @@ def _simplex(lp: LinearProgram) -> LpOutcome:
     # no artificial label is basic after phase 1
     u = np.zeros(tab.first_art)
     u[tab.basis] = tab.T[:, -1]
-    if np.any(u[tab.basis] < -FEAS_TOL):
-        return LpOutcome(status="numerical_failure", pivots=pivots)
-    x = u[: tab.n_struct] + 0.0  # a -0.0 entry comes back as 0.0
-    if not _feasible(lp, x):
-        return LpOutcome(status="numerical_failure", pivots=pivots)
-    value = float(lp.objective @ x)
-    duals = _duals(lp, tab, kept_rows, u)
-    return LpOutcome(status="optimal", value=value, point=x, duals=duals,
-                     pivots=pivots)
+    costs = np.concatenate([lp.objective, np.zeros(tab.first_art - tab.n_struct)])
+    y = _basis_duals(lp, tab, kept_rows, costs[tab.basis])
+    return _certify(lp, u[: tab.n_struct] + 0.0, y, pivots)  # -0.0 comes back as 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -471,30 +449,22 @@ def _gub(lp: LinearProgram, start: np.ndarray) -> Optional[LpOutcome]:
     if not factor() or val.min(initial=0.0) < -FEAS_TOL:
         return None
     max_iter = 2000 + 50 * (2 * m + N)
-    bland, streak, it, since = False, 0, 0, 0  # since: updates since factor()
+    rule, it, since = _PivotRule(), 0, 0  # since: updates since factor()
     status = "optimal"
     while True:
         np.matmul(neg_cw, Winv, out=neg_pi)
-        r = DC @ price
-        q = (r > PIVOT_TOL).argmax() if bland else r.argmax()
-        if r[q] <= PIVOT_TOL:
+        q = rule.enter(DC @ price)
+        if q is None:
             break
         alpha = Winv @ DC[q, :P]
         col_w[:] = alpha
         np.divide(np.bincount(sw, gw * alpha, minlength=K + 1)[1:], neg_gkey, out=col_k)
         if s[q] >= 0:
             col[P + s[q]] -= g[q] / neg_gkey[s[q]]
-        pos = (col > PIVOT_TOL).nonzero()[0]
-        if pos.size == 0:
+        leave = rule.leave(col, val, lab)
+        if leave is None:
             status = "unbounded"
             break
-        ratios = val[pos] / col[pos]
-        best = ratios.min()
-        ties = pos[ratios <= best + PIVOT_TOL]
-        # smallest basis label among ties keeps Bland's rule valid
-        leave = ties[lab[ties].argmin()] if ties.size > 1 else ties[0]
-        streak = streak + 1 if best <= PIVOT_TOL else 0
-        bland = bland or streak >= _DEGENERATE_SWITCH
         theta = val[leave] / col[leave]
         val -= theta * col
         it += 1
@@ -539,34 +509,42 @@ def _gub(lp: LinearProgram, start: np.ndarray) -> Optional[LpOutcome]:
         return LpOutcome(status=status, pivots=pivots, start="crash")
     x = np.zeros(N)
     x[lab] = val
-    x = x[:n] + 0.0  # a -0.0 entry comes back as 0.0
     y = np.empty(m)
     y[O] = pi = -neg_pi
     y[R] = (AC[key, P] - AC[key, :P] @ pi) / g[key]
+    return _certify(lp, x[:n] + 0.0, y, pivots, "crash")  # -0.0 comes back as 0.0
+
+
+def _certify(lp: LinearProgram, x: np.ndarray, y: Optional[np.ndarray],
+             pivots: tuple[int, int], start: str = "cold") -> LpOutcome:
+    """An "optimal" outcome if point x and duals y certify each other, else
+    a "numerical_failure".
+
+    x must satisfy A x (relations) b and x >= 0 within FEAS_TOL. y must be
+    dual feasible, c - A^T y <= 0, and have the sign each relation asks
+    for, >= 0 on "<=" rows and <= 0 on ">=" rows, within FEAS_TOL times the
+    largest |c|. The duality gap c x - y b must close within 1e-7 relative.
+    """
+    A, b, c, rel = lp.A, lp.b, lp.objective, lp.relations
     value = float(c @ x)
-    tol = FEAS_TOL * max(1.0, float(np.abs(c).max()))
-    if (val.min(initial=0.0) < -FEAS_TOL or not _feasible(lp, x)
-            or (c - A.T @ y > tol).any() or (y[le] < -tol).any()
-            or (y[~(le | eq)] > tol).any()
-            or abs(value - y @ b) > 1e-7 * max(1.0, abs(value))):
-        return LpOutcome(status="numerical_failure", pivots=pivots, start="crash")
-    return LpOutcome(status="optimal", value=value, point=x, duals=y,
-                     pivots=pivots, start="crash")
-
-
-def _feasible(lp: LinearProgram, x: np.ndarray) -> bool:
-    """A x (relations) b within FEAS_TOL; x >= -FEAS_TOL is checked on u."""
-    lhs, rhs, rel = lp.A @ x, lp.b, lp.relations
-    return not (np.any((lhs > rhs + FEAS_TOL) & (rel == "<="))
-                or np.any((lhs < rhs - FEAS_TOL) & (rel == ">="))
-                or np.any((np.abs(lhs - rhs) > FEAS_TOL) & (rel == "=")))
+    if y is not None:
+        lhs, tol = A @ x, FEAS_TOL * max(1.0, float(np.abs(c).max()))
+        le, ge = rel == "<=", rel == ">="
+        if not ((x < -FEAS_TOL).any() or (lhs[le] > b[le] + FEAS_TOL).any()
+                or (lhs[ge] < b[ge] - FEAS_TOL).any()
+                or (np.abs(lhs - b)[~(le | ge)] > FEAS_TOL).any()
+                or (c - A.T @ y > tol).any() or (y[le] < -tol).any()
+                or (y[ge] > tol).any()
+                or abs(value - y @ b) > 1e-7 * max(1.0, abs(value))):
+            return LpOutcome(status="optimal", value=value, point=x, duals=y,
+                             pivots=pivots, start=start)
+    return LpOutcome(status="numerical_failure", pivots=pivots, start=start)
 
 
 def _basis_duals(lp: LinearProgram, tab: _Tableau, kept_rows: np.ndarray,
                  costs: np.ndarray) -> Optional[np.ndarray]:
-    """Multipliers y with B^T y = c_B for the kept rows of the flipped program."""
-    if kept_rows.size == 0:
-        return np.zeros(tab.sign.size)
+    """Multipliers y with B^T y = c_B for the kept rows of the flipped
+    program, in the signs of the original rows; None if B is singular."""
     basis, n = tab.basis, tab.n_struct
     # B over the kept rows: structural columns from A, with the flipped rows
     # negated; a slack, surplus or artificial column is +-1 in its own row,
@@ -587,29 +565,10 @@ def _basis_duals(lp: LinearProgram, tab: _Tableau, kept_rows: np.ndarray,
         return None
     full = np.zeros(tab.sign.size)
     full[kept_rows] = y
-    return full
-
-
-def _duals(lp: LinearProgram, tab: _Tableau, kept_rows: np.ndarray,
-           u: np.ndarray) -> Optional[np.ndarray]:
-    costs = np.zeros(tab.basis.size)
-    struct = tab.basis < tab.n_struct
-    costs[struct] = lp.objective[tab.basis[struct]]
-    y = _basis_duals(lp, tab, kept_rows, costs)
-    if y is None:
-        return None
-    primal = lp.objective @ u[: tab.n_struct]
-    gap = abs(primal - y @ tab.b)
-    if gap > 1e-7 * max(1.0, abs(primal)):
-        return None
-    return tab.sign * y
+    return tab.sign * full
 
 
 def _farkas(lp: LinearProgram, tab: _Tableau) -> Optional[np.ndarray]:
     """Best-effort infeasibility certificate from the phase-1 multipliers."""
-    rows = np.arange(tab.m)
     costs = np.where(tab.basis >= tab.first_art, -1.0, 0.0)
-    y = _basis_duals(lp, tab, rows, costs)
-    if y is None:
-        return None
-    return tab.sign * y
+    return _basis_duals(lp, tab, np.arange(tab.m), costs)

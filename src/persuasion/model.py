@@ -288,10 +288,8 @@ def best_response(receiver_posterior, sender_posterior) -> int:
         raise ValidationError("payoff vectors must be nonempty")
     if r.shape != s.shape:
         raise DimensionError("actions", r.shape, s.shape)
-    tied = np.nonzero(r >= r.max() - TIE_TOL)[0]
-    s_tied = s[tied]
-    winners = tied[s_tied >= s_tied.max() - TIE_TOL]
-    return int(winners[0])
+    _require_finite(receiver_posterior=r, sender_posterior=s)
+    return int(best_response_many(r[None], s[None])[0])
 
 
 def best_response_many(receiver: np.ndarray, sender: np.ndarray) -> np.ndarray:

@@ -13,8 +13,10 @@ from persuasion.khintchine import (
     sign_dot_products,
     solve_khintchine_lp,
 )
-from persuasion.lp import LinearProgram, solve
+from persuasion.lp import solve
 from persuasion.verify import realizability_check
+
+from lp_rows import row_lp
 
 
 def signature_of_deterministic(assignment, n):
@@ -47,7 +49,7 @@ def mixture_membership_oracle(plus, minus, n):
     target = np.concatenate([np.asarray(plus).ravel(), np.asarray(minus).ravel()])
     cons = [(A[k], "=", float(target[k])) for k in range(A.shape[0])]
     cons.append((np.ones(A.shape[1]), "=", 1.0))
-    return solve(LinearProgram(np.zeros(A.shape[1]), cons)).status == "optimal"
+    return solve(row_lp(np.zeros(A.shape[1]), cons)).status == "optimal"
 
 
 def test_constant_examples():

@@ -11,8 +11,10 @@ from persuasion import fixtures, verify
 from persuasion import lp as lp_module
 from persuasion.errors import ValidationError
 from persuasion.exact import direct_scheme_lp, expand_product
-from persuasion.lp import LinearProgram, LpOutcome, _Tableau, solve
+from persuasion.lp import LpOutcome, _Tableau, solve
 from persuasion.model import ExplicitInstance
+
+from lp_rows import row_lp
 
 
 def enumerate_vertices(c, rows, rels, rhs):
@@ -57,13 +59,13 @@ def enumerate_vertices(c, rows, rels, rhs):
 
 
 def test_single_upper_bound():
-    out = solve(LinearProgram([1.0], [([1.0], "<=", 3.0)]))
+    out = solve(row_lp([1.0], [([1.0], "<=", 3.0)]))
     assert out.status == "optimal"
     assert out.value == pytest.approx(3.0, abs=1e-12)
 
 
 def test_unbounded():
-    assert solve(LinearProgram([1.0])).status == "unbounded"
+    assert solve(row_lp([1.0])).status == "unbounded"
 
 
 def test_two_variable_polygon():
@@ -72,21 +74,21 @@ def test_two_variable_polygon():
         [1.0, 1.0], [[1, 2], [3, 1]], ["<=", "<="], [4.0, 6.0]
     )
     assert oracle_value == pytest.approx(14.0 / 5.0, abs=1e-12)
-    out = solve(LinearProgram([1, 1], [([1, 2], "<=", 4.0), ([3, 1], "<=", 6.0)]))
+    out = solve(row_lp([1, 1], [([1, 2], "<=", 4.0), ([3, 1], "<=", 6.0)]))
     assert out.status == "optimal"
     assert out.value == pytest.approx(oracle_value, abs=1e-9)
     np.testing.assert_allclose(out.point, [8.0 / 5.0, 6.0 / 5.0], atol=1e-9)
 
 
 def test_infeasible_with_certificate():
-    out = solve(LinearProgram([1.0], [([1.0], "<=", -1.0)]))
+    out = solve(row_lp([1.0], [([1.0], "<=", -1.0)]))
     assert out.status == "infeasible"
     assert out.certificate is not None
 
 
 def test_redundant_equalities():
     cons = [([1.0, 1.0], "=", 1.0), ([2.0, 2.0], "=", 2.0), ([1.0, 1.0], "=", 1.0)]
-    out = solve(LinearProgram([1.0, 0.0], cons))
+    out = solve(row_lp([1.0, 0.0], cons))
     assert out.status == "optimal"
     assert out.value == pytest.approx(1.0, abs=1e-9)
 
@@ -99,7 +101,7 @@ def test_beale_degenerate_cycle_guard():
         ([0.5, -90.0, -0.02, 3.0], "<=", 0.0),
         ([0.0, 0.0, 1.0, 0.0], "<=", 1.0),
     ]
-    out = solve(LinearProgram(c, cons))
+    out = solve(row_lp(c, cons))
     assert out.status == "optimal"
     oracle_value, _ = enumerate_vertices(
         c,
@@ -111,7 +113,7 @@ def test_beale_degenerate_cycle_guard():
 
 
 def test_determinism():
-    lp = LinearProgram([1, 2, 0.5], [([1, 1, 1], "<=", 4.0), ([2, 0, 1], ">=", 1.0)])
+    lp = row_lp([1, 2, 0.5], [([1, 1, 1], "<=", 4.0), ([2, 0, 1], ">=", 1.0)])
     a, b = solve(lp), solve(lp)
     assert a.value == b.value
     assert np.array_equal(a.point, b.point)
@@ -127,16 +129,14 @@ def test_feasibility_residual_and_duality_gap():
         rhs = rng.uniform(0.2, 2.0, k)
         cons = [(rows[i], "<=", rhs[i]) for i in range(k)]
         cons.append((np.ones(n), "<=", 5.0))  # keeps the program bounded
-        out = solve(LinearProgram(c, cons))
+        out = solve(row_lp(c, cons))
         assert out.status == "optimal"
         for row, _, b in cons:
             assert row @ out.point <= b + 1e-8
         assert np.all(out.point >= -1e-8)
-        if out.duals is not None:
-            dual_value = sum(
-                y * b for y, (_, _, b) in zip(out.duals, cons)
-            )
-            assert abs(dual_value - out.value) <= 1e-7 * max(1.0, abs(out.value))
+        assert out.duals is not None
+        dual_value = sum(y * b for y, (_, _, b) in zip(out.duals, cons))
+        assert abs(dual_value - out.value) <= 1e-7 * max(1.0, abs(out.value))
 
 
 def test_matches_vertex_enumeration_on_random_programs():
@@ -151,7 +151,7 @@ def test_matches_vertex_enumeration_on_random_programs():
         rhs = np.append(rhs, 4.0)
         rels = ["<="] * (k + 1)
         cons = [(rows[i], rels[i], rhs[i]) for i in range(k + 1)]
-        out = solve(LinearProgram(c, cons))
+        out = solve(row_lp(c, cons))
         oracle_value, _ = enumerate_vertices(c, rows, rels, rhs)
         assert out.status == "optimal"
         assert out.value == pytest.approx(oracle_value, abs=1e-9)
@@ -167,10 +167,10 @@ def test_variable_permutation_invariance(seed):
     rows = rng.uniform(-1, 1, (k, n))
     rhs = rng.uniform(0.3, 2.0, k)
     cons = [(rows[i], "<=", rhs[i]) for i in range(k)] + [(np.ones(n), "<=", 3.0)]
-    base = solve(LinearProgram(c, cons))
+    base = solve(row_lp(c, cons))
     perm = rng.permutation(n)
     cons_p = [(row[perm], rel, b) for row, rel, b in cons]
-    permuted = solve(LinearProgram(c[perm], cons_p))
+    permuted = solve(row_lp(c[perm], cons_p))
     assert base.status == permuted.status == "optimal"
     assert permuted.value == pytest.approx(base.value, abs=1e-9)
 
@@ -178,17 +178,17 @@ def test_variable_permutation_invariance(seed):
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_objective_is_rejected(bad):
     with pytest.raises(ValidationError, match="objective"):
-        LinearProgram([bad, 1.0], [([1.0, 1.0], "<=", 1.0)])
+        row_lp([bad, 1.0], [([1.0, 1.0], "<=", 1.0)])
 
 
 def test_pivot_counts_per_phase():
     # ">=" row starts on an artificial, so phase 1 must pivot it out
-    out = solve(LinearProgram([1.0, 1.0], [([1, 1], ">=", 1.0), ([1, 2], "<=", 4.0)]))
+    out = solve(row_lp([1.0, 1.0], [([1, 1], ">=", 1.0), ([1, 2], "<=", 4.0)]))
     assert out.status == "optimal"
     p1, p2 = out.pivots
     assert p1 >= 1 and p2 >= 1
-    assert solve(LinearProgram([1.0], [([1.0], "<=", -1.0)])).pivots[1] == 0
-    assert solve(LinearProgram([-1.0])).pivots == (0, 0)
+    assert solve(row_lp([1.0], [([1.0], "<=", -1.0)])).pivots[1] == 0
+    assert solve(row_lp([-1.0])).pivots == (0, 0)
     assert LpOutcome(status="optimal").pivots is None
 
 
@@ -243,7 +243,7 @@ def _general_lps(rng, count):
         rels = rng.choice(["<=", ">=", "="], size=k, p=[0.5, 0.3, 0.2])
         cons = [(rng.uniform(-1, 1, n), rel, rng.uniform(-1.5, 1.5)) for rel in rels]
         cons.append((np.ones(n), "<=", 6.0))  # keeps the program bounded
-        lps.append(LinearProgram(rng.uniform(-1, 1, n), cons))
+        lps.append(row_lp(rng.uniform(-1, 1, n), cons))
     return lps
 
 
@@ -302,9 +302,7 @@ def test_row_restricted_pivot_is_bit_identical_to_dense_update(monkeypatch):
 def _highs(lp):
     from scipy.optimize import linprog
 
-    A = np.array([con.coeffs for con in lp.constraints])
-    rel = np.array([con.relation for con in lp.constraints])
-    rhs = np.array([con.rhs for con in lp.constraints])
+    A, rel, rhs = lp.A, lp.relations, lp.b
     sign = np.where(rel == ">=", -1.0, 1.0)
     ub = rel != "="
     return linprog(
@@ -360,9 +358,7 @@ def _assert_certified(lp, out, tol=1e-7):
     optimal."""
     x, y = out.point, out.duals
     assert not np.signbit(x[x == 0]).any()
-    A = np.array([con.coeffs for con in lp.constraints]).reshape(-1, x.size)
-    rel = np.array([con.relation for con in lp.constraints])
-    rhs = np.array([con.rhs for con in lp.constraints])
+    A, rel, rhs = lp.A, lp.relations, lp.b
     lhs = A @ x
     assert np.all(x >= -1e-8)
     assert np.all(lhs[rel == "<="] <= rhs[rel == "<="] + 1e-8)
@@ -414,6 +410,32 @@ def test_crash_start_matches_cold_solve():
     assert phase1 > 0
 
 
+def test_every_optimal_outcome_is_certified(monkeypatch):
+    outcomes = [(lp, solve(lp)) for lp in _pivot_corpus()]
+    for inst, eps in _crash_cases():
+        lp = _direct_lp(inst, eps)
+        outcomes.append((lp, solve(lp, start=_honest_start(inst))))
+    optimal = [(lp, out) for lp, out in outcomes if out.status == "optimal"]
+    assert {out.start for _, out in optimal} == {"cold", "crash"}
+    assert len(optimal) >= 100
+    for lp, out in optimal:
+        _assert_certified(lp, out)
+    # a cold solve whose duals are missing or wrong does not answer "optimal"
+    lp = row_lp([1.0, 1.0], [([1.0, 2.0], "<=", 4.0), ([3.0, 1.0], "<=", 6.0)])
+    duals = lp_module._basis_duals
+    monkeypatch.setattr(lp_module, "_basis_duals", lambda *args: None)
+    assert solve(lp).status == "numerical_failure"
+    for shift in (-0.5, 0.5):  # breaks the dual sign, then the duality gap
+
+        def perturbed(*args, shift=shift):
+            y = duals(*args).copy()
+            y[0] += shift
+            return y
+
+        monkeypatch.setattr(lp_module, "_basis_duals", perturbed)
+        assert solve(lp).status == "numerical_failure"
+
+
 def _dominated_instance():
     """Action 1 is strictly worse for the receiver than action 0 everywhere."""
     rng = np.random.default_rng(8)
@@ -449,7 +471,7 @@ def test_rejected_start_is_the_cold_solve():
 
 def test_start_on_general_programs():
     # a feasible start on a "<=" program with a bound row, and ones that fail
-    lp = LinearProgram([1.0, 2.0], [([1.0, 0.0], "<=", 3.0), ([1.0, 1.0], "<=", 4.0),
+    lp = row_lp([1.0, 2.0], [([1.0, 0.0], "<=", 3.0), ([1.0, 1.0], "<=", 4.0),
                                     ([0.0, 1.0], "<=", 5.0)])
     out = solve(lp, start=[0, -1, -1])
     assert out.start == "crash" and out.value == pytest.approx(8.0, abs=1e-12)
@@ -457,10 +479,10 @@ def test_start_on_general_programs():
     assert solve(lp, start=[1, 1, -1]).start == "cold"  # variable 1 named twice
     assert solve(lp, start=[-1, -1, 1]).start == "cold"  # x1 = 5 breaks row 1
     # a negative diagonal makes the named variable negative
-    lp = LinearProgram([1.0, 1.0], [([-1.0, 1.0], "<=", 2.0), ([1.0, 1.0], "<=", 3.0)])
+    lp = row_lp([1.0, 1.0], [([-1.0, 1.0], "<=", 2.0), ([1.0, 1.0], "<=", 3.0)])
     assert solve(lp, start=[0, -1]).start == "cold"
     assert solve(lp, start=[0, -1]).value == solve(lp).value
-    assert solve(LinearProgram([1.0], [([1.0], "<=", 3.0)]), start=[0]).pivots == (0, 0)
+    assert solve(row_lp([1.0], [([1.0], "<=", 3.0)]), start=[0]).pivots == (0, 0)
 
 
 def _random_direct_case(rng):
@@ -531,13 +553,13 @@ def test_crash_solve_that_fails_is_redone_cold(monkeypatch):
     assert len(factorizations) == 2
     assert out.start == "cold" and _as_bytes(out) == _as_bytes(cold)
     # a started solve that ends unbounded is redone cold, and so ends unbounded
-    lp = LinearProgram([1.0, 1.0], [([1.0, 0.0], "<=", 1.0)])
+    lp = row_lp([1.0, 1.0], [([1.0, 0.0], "<=", 1.0)])
     out = solve(lp, start=[0])
     assert out.status == "unbounded" and out.start == "cold" and out.pivots[0] == 0
 
 
 @pytest.mark.parametrize("start", [[0], [0, 0, 0], [0.0, -1.0], [-2, 0], [0, 2]])
 def test_malformed_start_is_rejected(start):
-    lp = LinearProgram([1.0, 1.0], [([1.0, 0.0], "<=", 1.0), ([0.0, 1.0], "<=", 1.0)])
+    lp = row_lp([1.0, 1.0], [([1.0, 0.0], "<=", 1.0), ([0.0, 1.0], "<=", 1.0)])
     with pytest.raises(ValidationError, match="start"):
         solve(lp, start=start)

@@ -18,9 +18,11 @@ from persuasion.errors import InstanceTooLargeError, ValidationError
 from persuasion.exact import type_profiles
 from persuasion.iid import border_feasible
 from persuasion.khintchine import TwoSignalSignature, sign_dot_products
-from persuasion.lp import Constraint, LinearProgram, _Tableau, solve
+from persuasion.lp import LinearProgram, _Tableau, solve
 from persuasion.model import (DirectScheme, ExplicitInstance, IIDInstance,
                               IndependentInstance, Marginal, _unit_factors)
+
+from lp_rows import row_lp
 
 
 def _same_program(new, old):
@@ -56,12 +58,12 @@ def _rows_direct_scheme_lp(weights, sender, receiver, epsilon):
     for t in range(S):
         row = np.zeros(nv)
         row[t * n:(t + 1) * n] = 1.0
-        cons.append(Constraint(row, "=", 1.0))
+        cons.append((row, "=", 1.0))
     for i, j in itertools.permutations(range(n), 2):
         row = np.zeros(nv)
         row[i::n] = weights * (receiver[:, i] - receiver[:, j] + epsilon)
-        cons.append(Constraint(row, ">=", 0.0))
-    return LinearProgram((weights[:, None] * sender).reshape(nv), cons)
+        cons.append((row, ">=", 0.0))
+    return row_lp((weights[:, None] * sender).reshape(nv), cons)
 
 
 def _rows_s_signature_lps(instance):
@@ -71,14 +73,14 @@ def _rows_s_signature_lps(instance):
     base = []
     ones_x = np.concatenate([np.ones(m), np.zeros(m)])
     ones_y = np.concatenate([np.zeros(m), np.ones(m)])
-    base.append(Constraint(ones_x, "=", 1.0 / n))
-    base.append(Constraint(ones_y, "=", 1.0 / n))
+    base.append((ones_x, "=", 1.0 / n))
+    base.append((ones_y, "=", 1.0 / n))
     for j in range(m):
         row = np.zeros(2 * m)
         row[j] = 1.0
         row[m + j] = n - 1.0
-        base.append(Constraint(row, "=", float(q[j])))
-    base.append(Constraint(np.concatenate([rho, -rho]), ">=", 0.0))
+        base.append((row, "=", float(q[j])))
+    base.append((np.concatenate([rho, -rho]), ">=", 0.0))
     objective = np.concatenate([n * xi, np.zeros(m)])
     lps, cuts = [], []
     while True:
@@ -87,8 +89,8 @@ def _rows_s_signature_lps(instance):
             row = np.zeros(2 * m)
             row[list(A)] = float(n)
             qa = q[list(A)].sum()
-            cons.append(Constraint(row, "<=", 1.0 - (1.0 - qa) ** n))
-        lps.append(LinearProgram(objective, cons))
+            cons.append((row, "<=", 1.0 - (1.0 - qa) ** n))
+        lps.append(row_lp(objective, cons))
         out = solve(lps[-1])
         x = np.clip(out.point[:m], 0.0, None)
         check = border_feasible(x / q, q, n)
@@ -112,14 +114,14 @@ def _rows_transport_lp(tau, q, n, cap):
     for t in range(S):
         row = np.zeros(nv)
         row[t * n:(t + 1) * n] = 1.0
-        cons.append(Constraint(row, "<=", 1.0))
+        cons.append((row, "<=", 1.0))
     for i in range(n):
         for j in range(m):
             row = np.zeros(nv)
             hits = np.nonzero(profiles[:, i] == j)[0]
             row[hits * n + i] = lam[hits]
-            cons.append(Constraint(row, "=", float(q[j] * tau[j])))
-    return LinearProgram(np.zeros(nv), cons)
+            cons.append((row, "=", float(q[j] * tau[j])))
+    return row_lp(np.zeros(nv), cons)
 
 
 def _rows_realizability_lp(signature, instance, cap=4096):
@@ -137,12 +139,12 @@ def _rows_realizability_lp(signature, instance, cap=4096):
                 row = np.zeros(nv)
                 hits = np.nonzero(profiles[:, j] == l)[0]
                 row[hits * k + i] = lam[hits]
-                cons.append(Constraint(row, "=", float(M[i, j, l])))
+                cons.append((row, "=", float(M[i, j, l])))
     for t in range(S):
         row = np.zeros(nv)
         row[t * k:(t + 1) * k] = 1.0
-        cons.append(Constraint(row, "=", 1.0))
-    return LinearProgram(np.zeros(nv), cons)
+        cons.append((row, "=", 1.0))
+    return row_lp(np.zeros(nv), cons)
 
 
 def _rows_khintchine_lp(a):
@@ -163,24 +165,24 @@ def _rows_khintchine_lp(a):
                 row[m_col(sig, i, t)] = 1.0
                 hits = np.nonzero(types[:, i] == (2 * t - 1))[0]
                 row[hits + sig * S] = -lam
-                cons.append(Constraint(row, "=", 0.0))
+                cons.append((row, "=", 0.0))
     for s in range(S):
         row = np.zeros(nv)
         row[s] = 1.0
         row[S + s] = 1.0
-        cons.append(Constraint(row, "=", 1.0))
+        cons.append((row, "=", 1.0))
     for i in range(n):
         row = np.zeros(nv)
         row[m_col(0, i, 0)] = 1.0
         row[m_col(0, i, 1)] = 1.0
-        cons.append(Constraint(row, "=", 0.5))
+        cons.append((row, "=", 0.5))
     c = np.zeros(nv)
     for i in range(n):
         c[m_col(0, i, 1)] += a[i]
         c[m_col(0, i, 0)] -= a[i]
         c[m_col(1, i, 1)] -= a[i]
         c[m_col(1, i, 0)] += a[i]
-    return LinearProgram(c, cons)
+    return row_lp(c, cons)
 
 
 def _rows_membership_lp(signature):
@@ -197,13 +199,13 @@ def _rows_membership_lp(signature):
                 row = np.zeros(nv)
                 hits = np.nonzero(types[:, i] == (2 * t - 1))[0]
                 row[hits + sig * S] = lam
-                cons.append(Constraint(row, "=", float(targets[sig][i, t])))
+                cons.append((row, "=", float(targets[sig][i, t])))
     for s in range(S):
         row = np.zeros(nv)
         row[s] = 1.0
         row[S + s] = 1.0
-        cons.append(Constraint(row, "=", 1.0))
-    return LinearProgram(np.zeros(nv), cons)
+        cons.append((row, "=", 1.0))
+    return row_lp(np.zeros(nv), cons)
 
 
 # ---------------------------------------------------------------------------
@@ -401,21 +403,13 @@ def test_unknown_relation_is_rejected(bad):
     with pytest.raises(ValidationError, match="constraint 1: unknown relation"):
         _matrix_lp(relations=["<=", bad])
     with pytest.raises(ValidationError, match="constraint 0: unknown relation"):
-        LinearProgram([1.0], [([1.0], bad, 1.0)])
-
-
-def test_rows_and_matrix_are_not_mixed():
-    with pytest.raises(ValidationError):
-        LinearProgram([1.0], [([1.0], "<=", 1.0)], A=np.ones((1, 1)),
-                      relations=["<="], b=[1.0])
-    with pytest.raises(ValidationError):
-        LinearProgram([1.0], relations=["<="], b=[1.0])
+        row_lp([1.0], [([1.0], bad, 1.0)])
 
 
 def test_relations_and_zero_rows():
     lp = _matrix_lp(relations=np.array(["<=", "="]))
     assert lp.relations.tolist() == ["<=", "="] and lp.relations.dtype == "<U2"
-    empty = LinearProgram([1.0, 2.0])
+    empty = row_lp([1.0, 2.0])
     assert empty.A.shape == (0, 2) and empty.b.shape == (0,)
     assert len(empty.constraints) == 0
 
@@ -424,17 +418,16 @@ def test_constraints_round_trip():
     rng = np.random.default_rng(3)
     rows = [(rng.uniform(-1, 1, 4), rel, float(rng.uniform(-1, 1)))
             for rel in ("<=", "=", ">=", "=", "<=")]
-    lp = LinearProgram(rng.uniform(-1, 1, 4), rows)
+    lp = row_lp(rng.uniform(-1, 1, 4), rows)
     assert len(lp.constraints) == 5
-    for con, (coeffs, rel, rhs) in zip(lp.constraints, rows):
-        assert con.coeffs.tobytes() == coeffs.tobytes()
-        assert con.relation == rel and con.rhs == rhs
-    assert lp.constraints[-1].coeffs.tobytes() == lp.constraints[4].coeffs.tobytes()
-    again = LinearProgram(lp.objective, lp.constraints)
+    for (coeffs, rel, rhs), row in zip(lp.constraints, rows):
+        assert coeffs.tobytes() == row[0].tobytes() and (rel, rhs) == row[1:]
+    assert lp.constraints[-1][0].tobytes() == lp.constraints[4][0].tobytes()
+    again = row_lp(lp.objective, lp.constraints)
     _same_program(again, lp)
     _same_program(LinearProgram(lp.objective, A=lp.A, relations=lp.relations, b=lp.b), lp)
     with pytest.raises(ValueError):
-        lp.constraints[0].coeffs[0] = 1.0  # a read-only view of A
+        lp.constraints[0][0][0] = 1.0  # a read-only view of A
 
 
 def test_matrix_is_not_copied_and_caller_keeps_write_access():

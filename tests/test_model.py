@@ -186,6 +186,15 @@ def test_best_response_rejects_empty():
         best_response([], [])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_best_response_rejects_non_finite(bad):
+    # best_response_many would read a NaN row as a tie and answer action 0
+    with pytest.raises(ValidationError, match="finite"):
+        best_response([bad, 1.0], [0.0, 0.0])
+    with pytest.raises(ValidationError, match="finite"):
+        best_response([0.0, 1.0], [0.0, bad])
+
+
 # ---------------------------------------------------------------------------
 # audit
 

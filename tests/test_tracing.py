@@ -89,6 +89,9 @@ def test_tracer_install_and_uninstall_round_trip():
             persuasion.allocation_exists_bruteforce(np.full(3, 0.5), q, 2)
         assert tracer.count["iid.decompose.profiles"] == 9
         assert tracer.count["lp.status.optimal"] == 1
+        # the transport LP at n = 2, m = 3: 9 profile rows and 6 (bidder,
+        # type) rows over 9 profiles x 2 bidders
+        assert tracer.count["lp.rows"] == 15 and tracer.count["lp.cols"] == 18
         assert {"iid.decompose_reduced_form", "lp.solve"} <= {s[0] for s in tracer.spans}
     finally:
         tracer.uninstall()
