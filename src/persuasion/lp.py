@@ -38,11 +38,14 @@ other rows is kept. For a direct-scheme program W is n(n-1) x n(n-1) for
 any number of states. W^-1 gets a product-form update per pivot, a
 Sherman-Morrison update when a key's set member takes over as key, and is
 refactorized every _REFACTOR_EVERY updates and when a key change moves
-more than one column of W. The pivot rule is the tableau's, so in exact
-arithmetic the path is the same, and the duals come from W. Any other
-start, and a started solve that is not certified optimal, runs the cold
-solve, byte for byte as without a start. So a start never costs a
-certified answer.
+more than one column of W. Many pivots of a direct-scheme program are
+free swaps: a state's key gives way to another variable of its row while
+W holds no basic there, so W^-1 and the prices stay. After one, the free
+swaps the pivot rule takes next go as one vectorized block (see _gub).
+The pivot rule is the tableau's, so in exact arithmetic the path is the
+same, blocks included, and the duals come from W. Any other start, and a
+started solve that is not certified optimal, runs the cold solve, byte for
+byte as without a start. So a start never costs a certified answer.
 
 Both paths return through one certificate (_certify), computed from A, b
 and c: the point is feasible, the duals are dual feasible with the sign
@@ -386,6 +389,18 @@ def _gub(lp: LinearProgram, start: np.ndarray) -> Optional[LpOutcome]:
     the d_j and the entering column another; the ratio test covers W's
     basics and the keys that move. The pivot rules are the tableau's, so in
     exact arithmetic the path is the same. The result is certified from A.
+
+    A free swap is a pivot in which a key leaves for a member of its own
+    set while W holds no basic of that set, so W^-1 and pi stay as they
+    are. After one, swaps() takes the rule's next free swaps at once. The
+    candidates, the best member of each set with equal coefficients in the
+    rule's order (reduced cost, then index), stop before any other column
+    as good; equal coefficients drop a set's reduced costs to at most 0
+    once its best member is key. One product gives their columns, one
+    cumsum the values before each swap, and the block is the longest prefix
+    in which each candidate's own key alone wins the ratio test, by more
+    than PIVOT_TOL, at a step above PIVOT_TOL, as the rule would pivot. No
+    block is taken under Bland's rule, and each swap counts as a pivot.
     """
     A, b, c, rel = lp.A, lp.b, lp.objective, lp.relations
     m, n = A.shape
@@ -421,10 +436,17 @@ def _gub(lp: LinearProgram, start: np.ndarray) -> Optional[LpOutcome]:
     kG = key[s[G]]
     DC = AC.copy()  # the same, reduced against the keys
     DC[G] -= (g[G] / g[kG])[:, None] * AC[kG]
+    # by s + 1: columns no block may enter, those in no set and those in a
+    # set with unequal coefficients (swaps adds the sets holding a basic of W)
+    fenced = np.concatenate([[True], np.bincount(s[G], g[G] != g[kG], minlength=K) > 0])
 
-    def rekey(k):  # the lines of set k against its new key
-        G, j = members[first[k]:first[k + 1]], key[k]
+    def rekey(ks):  # reduce the lines of the sets ks against their keys; returns them
+        size = first[ks + 1] - first[ks]
+        G = members[np.repeat(first[ks] - np.cumsum(size) + size, size)
+                    + np.arange(size.sum())]
+        j = key[s[G]]
         DC[G] = AC[G] - (g[G] / g[j])[:, None] * AC[j]
+        return G
 
     lab = np.concatenate([wb, key])  # basics: W's columns, then the keys
     val, col = np.empty(P + K), np.empty(P + K)
@@ -446,14 +468,51 @@ def _gub(lp: LinearProgram, start: np.ndarray) -> Optional[LpOutcome]:
         val[P:] = xk + np.bincount(sw, gw * val[:P], minlength=K + 1)[1:] / neg_gkey
         return True
 
+    def swaps(r) -> int:
+        """Take the run of free swaps that the pivot rule takes next, for
+        reduced costs r, and re-price their sets in r; returns their number."""
+        cut = fenced.copy()
+        cut[sw] = True
+        other = cut[s + 1]
+        pos = ((r > r[other].max(initial=PIVOT_TOL)) & ~other).nonzero()[0]
+        order = pos[np.argsort(-r[pos], kind="stable")]
+        Q = order[np.sort(np.unique(s[order], return_index=True)[1])]
+        k = s[Q]
+        theta = val[P + k]  # equal coefficients: the own key's entry is 1
+        held = np.unique(sw[sw > 0])  # s + 1 of the sets holding a basic of W
+        D = Winv @ DC[Q, :P].T  # the columns on W's basics, then on held keys
+        D = np.vstack([D, ((sw == held[:, None]) * (gw / neg_gkey[held - 1, None])) @ D])
+        rows = np.concatenate([np.arange(P), P - 1 + held])
+        v = val[rows, None] - np.cumsum(
+            np.hstack([np.zeros((rows.size, 1)), theta * D]), axis=1)
+        ratio = np.divide(v[:, :-1], D, out=np.full(D.shape, np.inf), where=D > PIVOT_TOL)
+        ok = (ratio > theta + PIVOT_TOL).all(axis=0) & (theta > PIVOT_TOL)
+        t = int(ok.argmin()) if not ok.all() else ok.size
+        if t:
+            Q, k = Q[:t], k[:t]
+            val[rows], val[P + k] = v[:, t], theta[:t]
+            key[k] = lab[P + k] = Q
+            neg_gkey[k] = -g[Q]
+            G = rekey(k)
+            r[G] = DC[G] @ price
+            rule.streak = 0
+        return t
+
     if not factor() or val.min(initial=0.0) < -FEAS_TOL:
         return None
     max_iter = 2000 + 50 * (2 * m + N)
     rule, it, since = _PivotRule(), 0, 0  # since: updates since factor()
+    free = False  # the last pivot was a free swap
     status = "optimal"
     while True:
         np.matmul(neg_cw, Winv, out=neg_pi)
-        q = rule.enter(DC @ price)
+        r = DC @ price
+        if free and not rule.bland:
+            it += swaps(r)
+        if it > max_iter:
+            status = "numerical_failure"
+            break
+        q = rule.enter(r)
         if q is None:
             break
         alpha = Winv @ DC[q, :P]
@@ -468,16 +527,14 @@ def _gub(lp: LinearProgram, start: np.ndarray) -> Optional[LpOutcome]:
         theta = val[leave] / col[leave]
         val -= theta * col
         it += 1
-        if it > max_iter:
-            status = "numerical_failure"
-            break
-        stale = False  # W changed in more than one column
+        stale = free = False  # stale: W changed in more than one column
         if leave >= P:  # a key leaves: q, or a basic of W in its set, is the new key
             k = leave - P
             mine = (sw == k + 1).nonzero()[0]
             if s[q] == k:
                 key[k] = lab[leave] = q
                 val[leave] = theta
+                free = not mine.size  # a free swap: W and pi stay as they are
                 if mine.size:  # their columns move by -d_q v^T: Sherman-Morrison
                     v = np.zeros(P)
                     v[mine] = gw[mine] / g[q]
@@ -489,7 +546,7 @@ def _gub(lp: LinearProgram, start: np.ndarray) -> Optional[LpOutcome]:
                 val[P + k] = val[leave]
                 stale = mine.size > 1
             neg_gkey[k] = -g[key[k]]
-            rekey(k)
+            rekey(np.array([k]))
             neg_cw[mine] = -DC[wb[mine], P]
         if leave < P:
             if not stale:  # product-form update of W^-1

@@ -288,14 +288,18 @@ def best_response(receiver_posterior, sender_posterior) -> int:
         raise ValidationError("payoff vectors must be nonempty")
     if r.shape != s.shape:
         raise DimensionError("actions", r.shape, s.shape)
-    _require_finite(receiver_posterior=r, sender_posterior=s)
     return int(best_response_many(r[None], s[None])[0])
 
 
 def best_response_many(receiver: np.ndarray, sender: np.ndarray) -> np.ndarray:
-    """Vectorized best_response over rows of (trials, actions) payoff arrays."""
+    """Vectorized best_response over rows of (trials, actions) payoff arrays.
+
+    Raises ValidationError on a non-finite payoff, which would otherwise
+    read as a tie and answer action 0.
+    """
     r = np.asarray(receiver, dtype=float)
     s = np.asarray(sender, dtype=float)
+    _require_finite(receiver_payoffs=r, sender_payoffs=s)
     r_ok = r >= r.max(axis=1, keepdims=True) - TIE_TOL
     s_masked = np.where(r_ok, s, -np.inf)
     s_ok = s_masked >= s_masked.max(axis=1, keepdims=True) - TIE_TOL

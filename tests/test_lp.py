@@ -11,7 +11,7 @@ from persuasion import fixtures, verify
 from persuasion import lp as lp_module
 from persuasion.errors import ValidationError
 from persuasion.exact import direct_scheme_lp, expand_product
-from persuasion.lp import LpOutcome, _Tableau, solve
+from persuasion.lp import LinearProgram, LpOutcome, _Tableau, solve
 from persuasion.model import ExplicitInstance
 
 from lp_rows import row_lp
@@ -331,12 +331,35 @@ def test_optimal_values_match_highs():
         _assert_certified(lp, out)
         checked += 1
     assert checked >= 50
-    # the crash path on the corpus's direct-scheme programs
-    for inst, eps in _direct_cases(np.random.default_rng(20150319)):
+    # the crash path on the corpus's direct-scheme programs, and on larger
+    # ones whose free swaps run in blocks
+    for inst, eps in _direct_cases(np.random.default_rng(20150319)) + _block_cases():
         lp = _direct_lp(inst, eps)
         out = solve(lp, start=_honest_start(inst))
         assert out.start == "crash"
+        _assert_certified(lp, out)
         assert out.value == pytest.approx(-_highs(lp).fun, abs=1e-7)
+
+
+def _block_cases():
+    """(instance, epsilon) of ten direct-scheme programs with 100-300 states.
+    Half have receiver payoffs rounded to halves, a last action that action
+    0 dominates (its incentive surpluses start at zero, so degenerate steps
+    occur) and a few zero-probability states."""
+    rng = np.random.default_rng(1967)
+    cases = []
+    for k in range(10):
+        inst = fixtures.random_explicit(rng, int(rng.integers(100, 301)),
+                                        int(rng.integers(2, 6)), nonnegative=k % 3 == 0)
+        probs, receiver = inst.state_probs.copy(), inst.receiver_payoffs
+        if k % 2:
+            receiver = np.round(receiver * 2.0) / 2.0
+            receiver[:, -1] = receiver[:, 0] - 0.5
+            probs[rng.random(probs.size) < 0.1] = 0.0
+            probs /= probs.sum()
+        cases.append((ExplicitInstance(probs, inst.sender_payoffs, receiver),
+                      0.05 if k % 4 == 3 else 0.0))
+    return cases
 
 
 # ---------------------------------------------------------------------------
@@ -504,18 +527,20 @@ def _random_direct_case(rng):
 
 def test_started_solve_matches_cold_solve_on_random_programs():
     rng = np.random.default_rng(1967)
-    corners = set()
+    corners, pivots = set(), 0
     for _ in range(200):
         inst, eps = _random_direct_case(rng)
         lp = _direct_lp(inst, eps)
         started, cold = solve(lp, start=_honest_start(inst)), solve(lp)
         assert started.start == "crash" and cold.start == "cold"
         assert started.pivots[0] == 0
+        pivots += started.pivots[1]
         _assert_certified(lp, started)
         _assert_certified(lp, cold)
         assert started.value == pytest.approx(cold.value, abs=1e-9)
         corners.add((inst.state_count == 1, inst.action_count == 1))
     assert corners == {(False, False), (False, True), (True, False), (True, True)}
+    assert pivots == 2006  # the pivot rule's path, free swaps taken in blocks or not
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -524,12 +549,65 @@ def test_started_solve_matches_highs_on_729_states(seed):
     inst = expand_product(fixtures.random_iid(np.random.default_rng(seed),
                                               actions=6, types=3))
     assert inst.state_count == 729
+    pivots = 0
     for eps in (0.0, 0.05):
         lp = _direct_lp(inst, eps)
         out = solve(lp, start=_honest_start(inst))
         assert out.start == "crash"
         _assert_certified(lp, out)
         assert out.value == pytest.approx(-_highs(lp).fun, abs=1e-7)
+        pivots += out.pivots[1]
+    assert pivots == {1: 0, 2: 124, 3: 1295}[seed]  # the pivot rule's path
+
+
+def test_free_swaps_run_in_blocks(monkeypatch):
+    inst = fixtures.random_explicit(np.random.default_rng(300), 300, 3)
+    lp = _direct_lp(inst, 0.0)
+    cold = solve(lp)
+    ratio_tests = []
+    leave = lp_module._PivotRule.leave
+
+    def counted(self, *args):
+        ratio_tests.append(1)
+        return leave(self, *args)
+
+    monkeypatch.setattr(lp_module._PivotRule, "leave", counted)
+    out = solve(lp, start=_honest_start(inst))
+    assert out.start == "crash"
+    _assert_certified(lp, out)
+    assert out.value == pytest.approx(cold.value, abs=1e-9)
+    # one ratio test per pivot outside the blocks, whose swaps take none
+    assert 0 < 2 * len(ratio_tests) < out.pivots[1]
+
+
+def _gub_programs(rng, count):
+    """Programs with K "<=" rows of disjoint supports, b = 1, and P working
+    "<=" rows, started from the first variable of each named row; every
+    other program has unequal coefficients in its named rows."""
+    programs = []
+    for k in range(count):
+        K, size, P = int(rng.integers(5, 40)), int(rng.integers(2, 5)), int(rng.integers(1, 5))
+        A = np.zeros((K + P, K * size))
+        for row in range(K):
+            A[row, row * size:(row + 1) * size] = rng.uniform(0.5, 2.0, size) if k % 2 else 1.0
+        A[K:] = rng.uniform(-1, 1, (P, K * size))
+        b = np.concatenate([np.ones(K), np.full(P, 0.0 if k % 3 == 0 else 5.0)])
+        lp = LinearProgram(rng.uniform(-1, 1, K * size), A=A, relations=["<="] * (K + P), b=b)
+        programs.append((lp, np.concatenate([np.arange(K) * size, np.full(P, -1)])))
+    return programs
+
+
+def test_started_solve_on_general_set_coefficients():
+    # a set whose coefficients differ never joins a block of free swaps
+    pivots, started = 0, 0
+    for lp, start in _gub_programs(np.random.default_rng(5), 60):
+        out = solve(lp, start=start)
+        _assert_certified(lp, out)
+        assert out.value == pytest.approx(solve(lp).value, abs=1e-9)
+        if out.start == "crash":
+            started += 1
+            pivots += out.pivots[1]
+    assert (started, pivots) == (43, 732)  # the pivot rule's path
 
 
 def test_crash_solve_that_fails_is_redone_cold(monkeypatch):

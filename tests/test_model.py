@@ -15,6 +15,7 @@ from persuasion.model import (
     Marginal,
     audit,
     best_response,
+    best_response_many,
     posterior,
 )
 
@@ -188,11 +189,20 @@ def test_best_response_rejects_empty():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_best_response_rejects_non_finite(bad):
-    # best_response_many would read a NaN row as a tie and answer action 0
     with pytest.raises(ValidationError, match="finite"):
         best_response([bad, 1.0], [0.0, 0.0])
     with pytest.raises(ValidationError, match="finite"):
         best_response([0.0, 1.0], [0.0, bad])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_best_response_many_rejects_non_finite(bad):
+    # unchecked, a NaN row reads as a tie and answers action 0
+    with pytest.raises(ValidationError, match="finite"):
+        best_response_many(np.array([[bad, 1.0]]), np.array([[0.0, 0.0]]))
+    with pytest.raises(ValidationError, match="finite"):
+        best_response_many(np.array([[0.0, 1.0], [1.0, 0.0]]),
+                           np.array([[0.0, 0.0], [bad, 0.0]]))
 
 
 # ---------------------------------------------------------------------------
