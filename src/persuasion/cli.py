@@ -257,9 +257,9 @@ def _cmd_bench(args) -> int:
         ("iid expansion exact S=243",
          lambda: solve_exact(expand_product(fixtures.random_iid(
              np.random.default_rng(243), actions=5, types=3))).value),
-        ("iid expansion exact S=2187",
+        ("iid expansion exact S=2187 seed 4",
          lambda: solve_exact(expand_product(fixtures.random_iid(
-             np.random.default_rng(1), actions=7, types=3)), 0.05).value),
+             np.random.default_rng(4), actions=7, types=3)), 0.05).value),
         ("investor s-signature",
          lambda: solve_s_signature(fixtures.investor())[1]),
         ("khintchine lp n=6",

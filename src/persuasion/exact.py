@@ -93,9 +93,8 @@ def solve_exact(instance: ExplicitInstance, epsilon: float = 0.0) -> ExactSoluti
     receiver = instance.receiver_payoffs * kr
     # exact argmax, no tie tolerance, so every incentive surplus is >= 0
     honest = np.arange(S) * n + np.argmax(receiver, axis=1)
-    start = np.concatenate([honest, np.full(n * (n - 1), -1)])
     out = solve(direct_scheme_lp(lam, instance.sender_payoffs * ks, receiver,
-                                 epsilon * kr), start=start)
+                                 epsilon * kr), keys=honest)
     if out.status != "optimal":
         raise SolverError(f"direct-scheme LP ended with status {out.status}")
     phi = out.point.reshape(S, n).copy()
@@ -156,13 +155,19 @@ def expand_product(instance: Union[IIDInstance, IndependentInstance],
 
 
 def honest_scheme(instance: ExplicitInstance) -> DirectScheme:
-    """Recommend the receiver-best action of each state (ties to the sender)."""
-    rec = best_response_many(instance.receiver_payoffs, instance.sender_payoffs)
+    """Recommend the receiver-best action of each state (ties to the sender).
+
+    Ties are judged on payoffs scaled as in solve_exact, so the scheme does
+    not change when the payoffs are scaled by a power of two."""
+    ks, kr = _unit_factors(instance)
+    rec = best_response_many(instance.receiver_payoffs * kr, instance.sender_payoffs * ks)
     return DirectScheme(np.eye(instance.action_count)[rec])
 
 
 def no_information_scheme(instance: ExplicitInstance) -> DirectScheme:
-    """Constant recommendation of the receiver's prior-best action."""
-    i = best_response(instance.state_probs @ instance.receiver_payoffs,
-                      instance.state_probs @ instance.sender_payoffs)
+    """Constant recommendation of the receiver's prior-best action, with ties
+    judged on scaled payoffs as in honest_scheme."""
+    ks, kr = _unit_factors(instance)
+    i = best_response(instance.state_probs @ instance.receiver_payoffs * kr,
+                      instance.state_probs @ instance.sender_payoffs * ks)
     return DirectScheme(np.eye(instance.action_count)[np.full(instance.state_count, i)])

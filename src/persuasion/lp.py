@@ -25,27 +25,23 @@ structural and slack columns, and duals and Farkas vectors are recovered
 from the labels, A and the row signs. On a 300-state, 3-action
 direct-scheme program that makes each row about a quarter narrower.
 
-A start basis skips phase 1 and the tableau. ``solve(lp, start=...)``
-takes one entry per constraint: a variable index that becomes basic in
-that row, or -1 to keep the row's slack or surplus basic. The start is
-accepted when the named rows have pairwise disjoint column supports, each
-named variable has a nonzero in its own row, every other row is an
-inequality, and the basic solution is nonnegative up to FEAS_TOL. Phase 2
-then uses generalized upper bounding (Dantzig and Van Slyke, "Generalized
-upper bounding techniques", JCSS 1967): each named row stays implicit,
-with one basic key variable, and only the inverse of the basis W over the
-other rows is kept. For a direct-scheme program W is n(n-1) x n(n-1) for
-any number of states. W^-1 gets a product-form update per pivot, a
-Sherman-Morrison update when a key's set member takes over as key, and is
-refactorized every _REFACTOR_EVERY updates and when a key change moves
-more than one column of W. Many pivots of a direct-scheme program are
-free swaps: a state's key gives way to another variable of its row while
-W holds no basic there, so W^-1 and the prices stay. After one, the free
-swaps the pivot rule takes next go as one vectorized block (see _gub).
-The pivot rule is the tableau's, so in exact arithmetic the path is the
-same, blocks included, and the duals come from W. Any other start, and a
-started solve that is not certified optimal, runs the cold solve, byte for
-byte as without a start. So a start never costs a certified answer.
+A start basis skips phase 1 and the tableau. ``solve(lp, keys=...)`` makes
+keys[k] the basic variable of each leading row k < len(keys). The start is
+accepted when those rows are "=" rows whose nonzeros are all 1, with
+pairwise disjoint supports, every other row is an inequality, and the
+basic solution is nonnegative up to FEAS_TOL. Phase 2 then uses
+generalized upper bounding (Dantzig and Van Slyke, "Generalized upper
+bounding techniques", JCSS 1967): each named row stays implicit, with its
+key basic, and only the inverse of the basis W over the other rows is
+kept. For a direct-scheme program W is n(n-1) x n(n-1) for any number of
+states. W^-1 gets a product-form update per pivot, a Sherman-Morrison
+update when a key's set member takes over as key, and is refactorized
+every _REFACTOR_EVERY updates and when a key change moves more than one
+column of W. Many pivots of a direct-scheme program are free swaps, which
+go as vectorized blocks (see _gub). The pivot rule is the tableau's, so in
+exact arithmetic the path is the same, blocks included, and the duals come
+from W. Any other start, and a started solve that is not certified
+optimal, runs the cold solve, byte for byte as without a start.
 
 Both paths return through one certificate (_certify), computed from A, b
 and c: the point is feasible, the duals are dual feasible with the sign
@@ -147,11 +143,10 @@ class LpOutcome:
     for infeasible programs. ``pivots`` counts the simplex pivots of phase 1
     and phase 2; the pivots that drive leftover artificial variables out of
     the basis between the phases are not counted. ``start`` is "crash" when
-    a start basis given to :func:`solve` was accepted and its phase 2
-    answered, so phase 1 did not run and ``pivots`` is (0, phase-2 pivots);
-    it is "cold" otherwise, a rejected start included, and so is the cold
-    re-solve that replaces a started solve which did not end certified
-    optimal.
+    the keys given to :func:`solve` were accepted and its phase 2 answered,
+    so phase 1 did not run and ``pivots`` is (0, phase-2 pivots); it is
+    "cold" otherwise, rejected keys included, and so is the cold re-solve
+    that replaces a started solve which did not end certified optimal.
     """
 
     status: str
@@ -163,28 +158,32 @@ class LpOutcome:
     start: str = "cold"
 
 
-def solve(lp: LinearProgram, start=None) -> LpOutcome:
+def solve(lp: LinearProgram, keys=None) -> LpOutcome:
     """Solve a linear program, returning a vertex optimum when one exists.
 
-    ``start`` optionally names a start basis with one entry per constraint:
-    a variable index that becomes basic in that row, or -1 to keep the
-    row's own slack or surplus basic. The named rows stay implicit and phase
+    ``keys`` optionally names a start basis over the leading rows: keys[k]
+    is the basic variable of row k for k < len(keys), and every other row
+    keeps its slack or surplus basic. The named rows stay implicit and phase
     2 pivots on a basis over the other rows (see the module docstring). A
     start that is not accepted falls back to the cold two-phase solve, and
     so does a started solve that does not end certified optimal. An
     "optimal" outcome carries certified duals whichever path answered.
     """
-    if start is not None:
-        start = np.asarray(start)
-        if start.shape != (lp.b.size,) or (
-                start.size and start.dtype.kind not in "iu"):
-            raise ValidationError("start needs one integer entry per constraint")
-        if np.any(start < -1) or np.any(start >= lp.objective.size):
-            raise ValidationError("start entries must be -1 or a variable index")
-        out = _gub(lp, start.astype(int))
+    if keys is not None:
+        keys = np.asarray(keys)
+        if keys.ndim != 1 or keys.size > lp.b.size or keys.size and (
+                keys.dtype.kind not in "iu" or keys.min() < 0
+                or keys.max() >= lp.objective.size):
+            raise ValidationError("keys must be at most one variable index per constraint")
+        out = _gub(lp, keys.astype(int))
         if out is not None and out.status == "optimal":
             return out
     return _simplex(lp)
+
+
+def _max_iter(lp: LinearProgram) -> int:
+    """Pivots after which either path ends as a numerical failure."""
+    return 2000 + 50 * (lp.A.shape[1] + int((lp.relations != "=").sum()) + 2 * lp.b.size)
 
 
 # ---------------------------------------------------------------------------
@@ -320,8 +319,7 @@ class _Tableau:
 def _simplex(lp: LinearProgram) -> LpOutcome:
     tab = _Tableau(lp)
     m = tab.m
-    # the limit counts one artificial column per row, as the tableau once had
-    max_iter = 2000 + 50 * (m + tab.first_art + m)
+    max_iter = _max_iter(lp)
 
     if m > 0:
         tab.price_phase1()
@@ -376,112 +374,91 @@ def _simplex(lp: LinearProgram) -> LpOutcome:
 _REFACTOR_EVERY = 32  # product-form updates of W^-1 between refactorizations
 
 
-def _gub(lp: LinearProgram, start: np.ndarray) -> Optional[LpOutcome]:
+def _gub(lp: LinearProgram, key: np.ndarray) -> Optional[LpOutcome]:
     """Revised-simplex phase 2 from a start basis; None if it is rejected.
 
-    Each named row k is a set: the variables with a nonzero in it, and its
-    slack if it is an inequality. One basic variable per set, its key,
-    stays implicit: key = (b_k - sum of g_j x_j over the set's other
-    basics) / g_key, where g_j is j's coefficient in row k. On the other
-    (working) rows, column j then acts as d_j = a_j - a_key g_j / g_key and
-    its cost as c_j - c_key g_j / g_key. Only W^-1 is kept, for the basis W
-    of the non-key basics on the working rows. Pricing is one mat-vec over
-    the d_j and the entering column another; the ratio test covers W's
-    basics and the keys that move. The pivot rules are the tableau's, so in
-    exact arithmetic the path is the same. The result is certified from A.
+    Row k < K = len(key) is a set: the variables with a 1 in it, its only
+    nonzero. One basic per set, its key, stays implicit at b_k less the
+    set's other basics. On the other (working) rows, column j of set k
+    then acts as d_j = a_j - a_key, with cost c_j - c_key, and only W^-1 is
+    kept, for the basis W of the non-key basics there. Pricing is one
+    mat-vec over the d_j and the entering column another; the ratio test
+    covers W's basics and the keys that move. The pivot rule is the
+    tableau's, so in exact arithmetic the path is the same. The result is
+    certified from A.
 
     A free swap is a pivot in which a key leaves for a member of its own
-    set while W holds no basic of that set, so W^-1 and pi stay as they
-    are. After one, swaps() takes the rule's next free swaps at once. The
-    candidates, the best member of each set with equal coefficients in the
-    rule's order (reduced cost, then index), stop before any other column
-    as good; equal coefficients drop a set's reduced costs to at most 0
-    once its best member is key. One product gives their columns, one
-    cumsum the values before each swap, and the block is the longest prefix
-    in which each candidate's own key alone wins the ratio test, by more
-    than PIVOT_TOL, at a step above PIVOT_TOL, as the rule would pivot. No
-    block is taken under Bland's rule, and each swap counts as a pivot.
+    set while W holds no basic of that set, so W^-1 and pi stay. After
+    one, swaps() takes the rule's next free swaps at once: the best member
+    of each set in the rule's order (reduced cost, then index), cut before
+    any other column as good, since a set's reduced costs drop to at most
+    0 once its best member is key. One product gives their columns, one
+    cumsum the values before each swap, and the block is the longest
+    prefix in which each candidate's own key alone wins the ratio test, by
+    more than PIVOT_TOL, at a step above PIVOT_TOL. No block is taken
+    under Bland's rule, and each swap counts as a pivot.
     """
     A, b, c, rel = lp.A, lp.b, lp.objective, lp.relations
-    m, n = A.shape
-    R, O = (start >= 0).nonzero()[0], (start < 0).nonzero()[0]
-    K, P = R.size, O.size
-    AR = A[R[0]:R[0] + K] if K and R[-1] == R[0] + K - 1 else A[R]  # a view if contiguous
-    hit = AR != 0.0
-    eq, le = rel == "=", rel == "<="
-    if eq[O].any() or (hit.sum(axis=0) > 1).any():
-        return None  # a working row without slack, or overlapping named rows
-    slack_rows = (~eq).nonzero()[0]  # slack k has label n + k
-    N = n + slack_rows.size
-    set_of_row = np.full(m, -1)
-    set_of_row[R] = np.arange(K)
-    slack_sign = np.where(le[slack_rows], 1.0, -1.0)
-    # the set of each variable (-1 for none) and its coefficient in that row
-    g = AR.sum(axis=0)  # a column's one nonzero
-    s = np.concatenate([np.where(g != 0.0, hit.argmax(axis=0) if K else 0, -1),
-                        set_of_row[slack_rows]])
-    g = np.concatenate([g, np.where(s[n:] >= 0, slack_sign, 0.0)])
-    key = start[R]
+    (m, n), K = A.shape, key.size
+    P = m - K
+    hit = A[:K] != 0.0
+    count = hit.sum(axis=0)
+    if ((rel[:K] != "=").any() or (rel[K:] == "=").any() or (count > 1).any()
+            or (A[:K].sum(axis=0) != count).any()):
+        return None  # not unit "=" rows with disjoint supports, then inequalities
+    N = n + P  # the slack of working row K + p has label n + p
+    s = np.concatenate([np.where(count > 0, hit.argmax(axis=0) if K else 0, -1),
+                        np.full(P, -1)])  # the set of each variable, -1 for none
     if (s[key] != np.arange(K)).any():
-        return None  # a named variable is not in its row
-    wb = n + (s[n:] < 0).nonzero()[0]  # the working rows' slacks, in row order
+        return None  # a key is not in its row
+    wb = n + np.arange(P)  # W's columns: the working rows' slacks
     # one line per variable: its coefficients in the working rows, then its cost
     AC = np.zeros((N, P + 1))
-    AC[:n, :P] = A[O].T
+    AC[:n, :P] = A[K:].T
     AC[:n, P] = c
-    AC[wb, np.arange(P)] = slack_sign[wb - n]
+    AC[wb, np.arange(P)] = np.where(rel[K:] == "<=", 1.0, -1.0)
     members = np.argsort(s, kind="stable")
     first = np.searchsorted(s[members], np.arange(K + 1))
-    G = members[first[0]:]
-    kG = key[s[G]]
     DC = AC.copy()  # the same, reduced against the keys
-    DC[G] -= (g[G] / g[kG])[:, None] * AC[kG]
-    # by s + 1: columns no block may enter, those in no set and those in a
-    # set with unequal coefficients (swaps adds the sets holding a basic of W)
-    fenced = np.concatenate([[True], np.bincount(s[G], g[G] != g[kG], minlength=K) > 0])
 
     def rekey(ks):  # reduce the lines of the sets ks against their keys; returns them
         size = first[ks + 1] - first[ks]
         G = members[np.repeat(first[ks] - np.cumsum(size) + size, size)
                     + np.arange(size.sum())]
-        j = key[s[G]]
-        DC[G] = AC[G] - (g[G] / g[j])[:, None] * AC[j]
+        DC[G] = AC[G] - AC[key[s[G]]]
         return G
 
+    rekey(np.arange(K))
     lab = np.concatenate([wb, key])  # basics: W's columns, then the keys
-    val, col = np.empty(P + K), np.empty(P + K)
-    col_w, col_k = col[:P], col[P:]
-    Winv, neg_gkey = np.empty((P, P)), np.empty(K)
+    Winv, val, col = np.empty((P, P)), np.empty(P + K), np.empty(P + K)
     price = np.ones(P + 1)  # (-pi, 1): DC @ price are the reduced costs
     neg_pi = price[:P]
-    neg_cw, sw, gw = np.empty(P), np.empty(P, dtype=int), np.empty(P)  # W's columns
+    neg_cw, sw = np.empty(P), np.empty(P, dtype=int)  # W's columns: -cost, set + 1
 
     def factor() -> bool:
         try:
             Winv[...] = np.linalg.inv(DC[wb, :P].T)
         except np.linalg.LinAlgError:
             return False
-        neg_gkey[:] = -g[key]
-        neg_cw[:], sw[:], gw[:] = -DC[wb, P], s[wb] + 1, g[wb]
-        xk = b[R] / g[key]
-        val[:P] = Winv @ (b[O] - xk @ AC[key, :P])
-        val[P:] = xk + np.bincount(sw, gw * val[:P], minlength=K + 1)[1:] / neg_gkey
+        neg_cw[:], sw[:] = -DC[wb, P], s[wb] + 1
+        val[:P] = Winv @ (b[K:] - b[:K] @ AC[key, :P])
+        val[P:] = b[:K] - np.bincount(sw, val[:P], minlength=K + 1)[1:]
         return True
 
     def swaps(r) -> int:
         """Take the run of free swaps that the pivot rule takes next, for
         reduced costs r, and re-price their sets in r; returns their number."""
-        cut = fenced.copy()
-        cut[sw] = True
+        cut = np.zeros(K + 1, dtype=bool)
+        cut[0] = cut[sw] = True  # columns in no set, and sets holding a basic of W
         other = cut[s + 1]
         pos = ((r > r[other].max(initial=PIVOT_TOL)) & ~other).nonzero()[0]
         order = pos[np.argsort(-r[pos], kind="stable")]
         Q = order[np.sort(np.unique(s[order], return_index=True)[1])]
         k = s[Q]
-        theta = val[P + k]  # equal coefficients: the own key's entry is 1
+        theta = val[P + k]  # the own key's entry is 1
         held = np.unique(sw[sw > 0])  # s + 1 of the sets holding a basic of W
         D = Winv @ DC[Q, :P].T  # the columns on W's basics, then on held keys
-        D = np.vstack([D, ((sw == held[:, None]) * (gw / neg_gkey[held - 1, None])) @ D])
+        D = np.vstack([D, (sw == held[:, None]) @ -D])
         rows = np.concatenate([np.arange(P), P - 1 + held])
         v = val[rows, None] - np.cumsum(
             np.hstack([np.zeros((rows.size, 1)), theta * D]), axis=1)
@@ -492,7 +469,6 @@ def _gub(lp: LinearProgram, start: np.ndarray) -> Optional[LpOutcome]:
             Q, k = Q[:t], k[:t]
             val[rows], val[P + k] = v[:, t], theta[:t]
             key[k] = lab[P + k] = Q
-            neg_gkey[k] = -g[Q]
             G = rekey(k)
             r[G] = DC[G] @ price
             rule.streak = 0
@@ -500,7 +476,7 @@ def _gub(lp: LinearProgram, start: np.ndarray) -> Optional[LpOutcome]:
 
     if not factor() or val.min(initial=0.0) < -FEAS_TOL:
         return None
-    max_iter = 2000 + 50 * (2 * m + N)
+    max_iter = _max_iter(lp)
     rule, it, since = _PivotRule(), 0, 0  # since: updates since factor()
     free = False  # the last pivot was a free swap
     status = "optimal"
@@ -516,10 +492,10 @@ def _gub(lp: LinearProgram, start: np.ndarray) -> Optional[LpOutcome]:
         if q is None:
             break
         alpha = Winv @ DC[q, :P]
-        col_w[:] = alpha
-        np.divide(np.bincount(sw, gw * alpha, minlength=K + 1)[1:], neg_gkey, out=col_k)
+        col[:P] = alpha
+        np.negative(np.bincount(sw, alpha, minlength=K + 1)[1:], out=col[P:])
         if s[q] >= 0:
-            col[P + s[q]] -= g[q] / neg_gkey[s[q]]
+            col[P + s[q]] += 1.0
         leave = rule.leave(col, val, lab)
         if leave is None:
             status = "unbounded"
@@ -537,7 +513,7 @@ def _gub(lp: LinearProgram, start: np.ndarray) -> Optional[LpOutcome]:
                 free = not mine.size  # a free swap: W and pi stay as they are
                 if mine.size:  # their columns move by -d_q v^T: Sherman-Morrison
                     v = np.zeros(P)
-                    v[mine] = gw[mine] / g[q]
+                    v[mine] = 1.0
                     Winv += np.outer(alpha, v @ Winv) / (1.0 - v @ alpha)
                     since += 1
             else:  # that basic's column of W goes to q
@@ -545,7 +521,6 @@ def _gub(lp: LinearProgram, start: np.ndarray) -> Optional[LpOutcome]:
                 key[k] = lab[P + k] = wb[leave]
                 val[P + k] = val[leave]
                 stale = mine.size > 1
-            neg_gkey[k] = -g[key[k]]
             rekey(np.array([k]))
             neg_cw[mine] = -DC[wb[mine], P]
         if leave < P:
@@ -555,7 +530,7 @@ def _gub(lp: LinearProgram, start: np.ndarray) -> Optional[LpOutcome]:
                 Winv -= alpha[:, None] * Winv[leave]
                 since += 1
             wb[leave] = lab[leave] = q
-            val[leave], neg_cw[leave], sw[leave], gw[leave] = theta, -DC[q, P], s[q] + 1, g[q]
+            val[leave], neg_cw[leave], sw[leave] = theta, -DC[q, P], s[q] + 1
         if stale or since >= _REFACTOR_EVERY:
             since = 0
             if not factor():
@@ -566,9 +541,8 @@ def _gub(lp: LinearProgram, start: np.ndarray) -> Optional[LpOutcome]:
         return LpOutcome(status=status, pivots=pivots, start="crash")
     x = np.zeros(N)
     x[lab] = val
-    y = np.empty(m)
-    y[O] = pi = -neg_pi
-    y[R] = (AC[key, P] - AC[key, :P] @ pi) / g[key]
+    pi = -neg_pi
+    y = np.concatenate([AC[key, P] - AC[key, :P] @ pi, pi])
     return _certify(lp, x[:n] + 0.0, y, pivots, "crash")  # -0.0 comes back as 0.0
 
 

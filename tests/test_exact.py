@@ -202,3 +202,19 @@ def test_solve_exact_scales_with_payoffs(k):
             assert sol.value == base.value * f
             assert np.array_equal(sol.scheme.phi, base.scheme.phi)
             assert sol.audit.min_slack >= -(eps + 1e-9) * f
+
+
+def test_honest_scheme_scales_with_payoffs():
+    # both schemes break receiver ties on payoffs scaled by powers of two to a
+    # largest magnitude in [1/2, 1), so scaling the payoffs by 2**k leaves
+    # them as they are
+    rng = np.random.default_rng(97)
+    for k in (-20, -30, -40):
+        f = 2.0 ** k
+        for _ in range(40):
+            inst = fixtures.random_explicit(rng, int(rng.integers(2, 40)),
+                                            int(rng.integers(2, 5)))
+            scaled = ExplicitInstance(inst.state_probs, inst.sender_payoffs * f,
+                                      inst.receiver_payoffs * f)
+            for scheme in (honest_scheme, no_information_scheme):
+                assert np.array_equal(scheme(scaled).phi, scheme(inst).phi), scheme

@@ -263,12 +263,11 @@ def _direct_lp(inst, eps):
                             inst.receiver_payoffs, eps)
 
 
-def _honest_start(inst):
-    """Start basis of the honest scheme: one variable per state row, on the
-    receiver's exact argmax, and every incentive row's surplus."""
+def _honest_keys(inst):
+    """Keys of the honest scheme's basis: one variable per state row, on the
+    receiver's exact argmax (the incentive rows keep their surpluses)."""
     S, n = inst.state_count, inst.action_count
-    rec = np.argmax(inst.receiver_payoffs, axis=1)
-    return np.concatenate([np.arange(S) * n + rec, np.full(n * (n - 1), -1)])
+    return np.arange(S) * n + np.argmax(inst.receiver_payoffs, axis=1)
 
 
 def _pivot_corpus():
@@ -335,7 +334,7 @@ def test_optimal_values_match_highs():
     # ones whose free swaps run in blocks
     for inst, eps in _direct_cases(np.random.default_rng(20150319)) + _block_cases():
         lp = _direct_lp(inst, eps)
-        out = solve(lp, start=_honest_start(inst))
+        out = solve(lp, keys=_honest_keys(inst))
         assert out.start == "crash"
         _assert_certified(lp, out)
         assert out.value == pytest.approx(-_highs(lp).fun, abs=1e-7)
@@ -422,7 +421,7 @@ def test_crash_start_matches_cold_solve():
     for inst, eps in _crash_cases():
         lp = _direct_lp(inst, eps)
         cold = solve(lp)
-        crash = solve(lp, start=_honest_start(inst))
+        crash = solve(lp, keys=_honest_keys(inst))
         assert cold.start == "cold" and crash.start == "crash"
         assert crash.status == cold.status == "optimal"
         assert crash.value == pytest.approx(cold.value, abs=1e-9)
@@ -437,7 +436,7 @@ def test_every_optimal_outcome_is_certified(monkeypatch):
     outcomes = [(lp, solve(lp)) for lp in _pivot_corpus()]
     for inst, eps in _crash_cases():
         lp = _direct_lp(inst, eps)
-        outcomes.append((lp, solve(lp, start=_honest_start(inst))))
+        outcomes.append((lp, solve(lp, keys=_honest_keys(inst))))
     optimal = [(lp, out) for lp, out in outcomes if out.status == "optimal"]
     assert {out.start for _, out in optimal} == {"cold", "crash"}
     assert len(optimal) >= 100
@@ -469,43 +468,59 @@ def _dominated_instance():
 
 
 def _rejected_starts():
+    """(program, keys) that solve does not start from, one per rule: a "<="
+    named row, a non-unit coefficient, overlapping supports, a key outside
+    its row, an "=" working row (an incentive row, then a state row, whose
+    basic solution is also negative) and a negative basic solution."""
     inst = fixtures.random_explicit(np.random.default_rng(7), 30, 3)
-    honest = _honest_start(inst)
-    # incentive row (0, 1) names action 0 of a state whose row names another
-    # variable: both rows have a nonzero in that column
-    t = int(np.flatnonzero(honest[:30] % 3 != 0)[0])
-    off_diagonal = honest.copy()
-    off_diagonal[30] = 3 * t
-    state_slack = honest.copy()  # an "=" row has no slack to keep basic
-    state_slack[4] = -1
-    dominated = _dominated_instance()
-    all_dominated = np.concatenate([np.arange(20) * 3 + 1, np.full(6, -1)])
-    return [(_direct_lp(inst, 0.05), off_diagonal),
-            (_direct_lp(inst, 0.05), state_slack),
-            (_direct_lp(dominated, 0.0), all_dominated)]
+    lp, keys = _direct_lp(inst, 0.05), _honest_keys(inst)
+
+    def changed(A=lp.A, relations=lp.relations, b=lp.b):
+        return LinearProgram(lp.objective, A=A, relations=relations, b=b)
+
+    relations, equal_ic = lp.relations.copy(), lp.relations.copy()
+    relations[0] = "<="
+    equal_ic[30] = "="  # an incentive row, whose surplus starts >= 0
+    scaled, b = lp.A.copy(), lp.b.copy()
+    scaled[0] *= 2.0
+    b[0] = 2.0
+    overlapping = lp.A.copy()
+    overlapping[0, 3] = 1.0  # a variable of state 1 in state 0's row
+    outside = keys.copy()
+    outside[0] = 3 + (keys[1] + 1) % 3  # a variable of state 1, not its key
+    all_dominated = np.arange(20) * 3 + 1
+    return [(changed(relations=relations), keys), (changed(A=scaled, b=b), keys),
+            (changed(A=overlapping), keys), (lp, outside),
+            (changed(relations=equal_ic), keys), (lp, keys[:-1]),
+            (_direct_lp(_dominated_instance(), 0.0), all_dominated)]
 
 
 def test_rejected_start_is_the_cold_solve():
-    for lp, start in _rejected_starts():
-        out = solve(lp, start=start)
+    for lp, keys in _rejected_starts():
+        assert lp_module._gub(lp, keys.copy()) is None
+        out = solve(lp, keys=keys)
         assert out.start == "cold" and out.pivots[0] > 0
         assert _as_bytes(out) == _as_bytes(solve(lp))
 
 
 def test_start_on_general_programs():
-    # a feasible start on a "<=" program with a bound row, and ones that fail
+    # keys=[] on a "<=" program with b >= 0 starts from the slack basis
     lp = row_lp([1.0, 2.0], [([1.0, 0.0], "<=", 3.0), ([1.0, 1.0], "<=", 4.0),
-                                    ([0.0, 1.0], "<=", 5.0)])
-    out = solve(lp, start=[0, -1, -1])
+                             ([0.0, 1.0], "<=", 5.0)])
+    out = solve(lp, keys=[])
     assert out.start == "crash" and out.value == pytest.approx(8.0, abs=1e-12)
-    assert solve(lp, start=[-1, 1, -1]).start == "crash"
-    assert solve(lp, start=[1, 1, -1]).start == "cold"  # variable 1 named twice
-    assert solve(lp, start=[-1, -1, 1]).start == "cold"  # x1 = 5 breaks row 1
-    # a negative diagonal makes the named variable negative
-    lp = row_lp([1.0, 1.0], [([-1.0, 1.0], "<=", 2.0), ([1.0, 1.0], "<=", 3.0)])
-    assert solve(lp, start=[0, -1]).start == "cold"
-    assert solve(lp, start=[0, -1]).value == solve(lp).value
-    assert solve(row_lp([1.0], [([1.0], "<=", 3.0)]), start=[0]).pivots == (0, 0)
+    # two unit "=" rows, then a "<=" and a ">=" working row
+    lp = row_lp([1.0, 2.0, 3.0, 1.0], [([1.0, 1.0, 0.0, 0.0], "=", 1.0),
+                                       ([0.0, 0.0, 1.0, 1.0], "=", 1.0),
+                                       ([0.0, 1.0, 1.0, 0.0], "<=", 1.5),
+                                       ([1.0, 0.0, 0.0, 1.0], ">=", 0.25)])
+    out = solve(lp, keys=[0, 3])
+    assert out.start == "crash" and out.pivots[1] > 0
+    assert out.value == pytest.approx(4.5, abs=1e-12)
+    _assert_certified(lp, out)
+    assert solve(lp, keys=[1, 2]).start == "cold"  # x1 + x2 = 2 breaks row 2
+    assert solve(lp, keys=[0, 0]).start == "cold"  # variable 0 is not in row 1
+    assert solve(row_lp([1.0], [([1.0], "=", 3.0)]), keys=[0]).pivots == (0, 0)
 
 
 def _random_direct_case(rng):
@@ -531,7 +546,7 @@ def test_started_solve_matches_cold_solve_on_random_programs():
     for _ in range(200):
         inst, eps = _random_direct_case(rng)
         lp = _direct_lp(inst, eps)
-        started, cold = solve(lp, start=_honest_start(inst)), solve(lp)
+        started, cold = solve(lp, keys=_honest_keys(inst)), solve(lp)
         assert started.start == "crash" and cold.start == "cold"
         assert started.pivots[0] == 0
         pivots += started.pivots[1]
@@ -552,7 +567,7 @@ def test_started_solve_matches_highs_on_729_states(seed):
     pivots = 0
     for eps in (0.0, 0.05):
         lp = _direct_lp(inst, eps)
-        out = solve(lp, start=_honest_start(inst))
+        out = solve(lp, keys=_honest_keys(inst))
         assert out.start == "crash"
         _assert_certified(lp, out)
         assert out.value == pytest.approx(-_highs(lp).fun, abs=1e-7)
@@ -572,42 +587,12 @@ def test_free_swaps_run_in_blocks(monkeypatch):
         return leave(self, *args)
 
     monkeypatch.setattr(lp_module._PivotRule, "leave", counted)
-    out = solve(lp, start=_honest_start(inst))
+    out = solve(lp, keys=_honest_keys(inst))
     assert out.start == "crash"
     _assert_certified(lp, out)
     assert out.value == pytest.approx(cold.value, abs=1e-9)
     # one ratio test per pivot outside the blocks, whose swaps take none
     assert 0 < 2 * len(ratio_tests) < out.pivots[1]
-
-
-def _gub_programs(rng, count):
-    """Programs with K "<=" rows of disjoint supports, b = 1, and P working
-    "<=" rows, started from the first variable of each named row; every
-    other program has unequal coefficients in its named rows."""
-    programs = []
-    for k in range(count):
-        K, size, P = int(rng.integers(5, 40)), int(rng.integers(2, 5)), int(rng.integers(1, 5))
-        A = np.zeros((K + P, K * size))
-        for row in range(K):
-            A[row, row * size:(row + 1) * size] = rng.uniform(0.5, 2.0, size) if k % 2 else 1.0
-        A[K:] = rng.uniform(-1, 1, (P, K * size))
-        b = np.concatenate([np.ones(K), np.full(P, 0.0 if k % 3 == 0 else 5.0)])
-        lp = LinearProgram(rng.uniform(-1, 1, K * size), A=A, relations=["<="] * (K + P), b=b)
-        programs.append((lp, np.concatenate([np.arange(K) * size, np.full(P, -1)])))
-    return programs
-
-
-def test_started_solve_on_general_set_coefficients():
-    # a set whose coefficients differ never joins a block of free swaps
-    pivots, started = 0, 0
-    for lp, start in _gub_programs(np.random.default_rng(5), 60):
-        out = solve(lp, start=start)
-        _assert_certified(lp, out)
-        assert out.value == pytest.approx(solve(lp).value, abs=1e-9)
-        if out.start == "crash":
-            started += 1
-            pivots += out.pivots[1]
-    assert (started, pivots) == (43, 732)  # the pivot rule's path
 
 
 def test_crash_solve_that_fails_is_redone_cold(monkeypatch):
@@ -627,17 +612,22 @@ def test_crash_solve_that_fails_is_redone_cold(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "inv", failing)
     monkeypatch.setattr(lp_module, "_REFACTOR_EVERY", 1)
-    out = solve(lp, start=_honest_start(inst))
+    out = solve(lp, keys=_honest_keys(inst))
     assert len(factorizations) == 2
     assert out.start == "cold" and _as_bytes(out) == _as_bytes(cold)
     # a started solve that ends unbounded is redone cold, and so ends unbounded
-    lp = row_lp([1.0, 1.0], [([1.0, 0.0], "<=", 1.0)])
-    out = solve(lp, start=[0])
-    assert out.status == "unbounded" and out.start == "cold" and out.pivots[0] == 0
+    monkeypatch.undo()  # with inv still failing, the start would be rejected
+    lp = row_lp([1.0, 1.0, 1.0], [([1.0, 1.0, 0.0], "=", 1.0)])
+    assert lp_module._gub(lp, np.array([0])).status == "unbounded"
+    out = solve(lp, keys=[0])
+    assert out.status == "unbounded" and out.start == "cold"
+    assert _as_bytes(out) == _as_bytes(solve(lp))
 
 
-@pytest.mark.parametrize("start", [[0], [0, 0, 0], [0.0, -1.0], [-2, 0], [0, 2]])
+@pytest.mark.parametrize("start", [[[0]], [0, 1, 0], [0.0], [-1], [2]])
 def test_malformed_start_is_rejected(start):
+    # keys that are 2-D, longer than the program has rows, not integers,
+    # negative, or past the last variable
     lp = row_lp([1.0, 1.0], [([1.0, 0.0], "<=", 1.0), ([0.0, 1.0], "<=", 1.0)])
-    with pytest.raises(ValidationError, match="start"):
-        solve(lp, start=start)
+    with pytest.raises(ValidationError, match="keys"):
+        solve(lp, keys=start)

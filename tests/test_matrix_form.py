@@ -456,7 +456,7 @@ def test_zero_shift_rhs_matches_per_row_products():
 
 
 # ---------------------------------------------------------------------------
-# started solves against the cold solve, on named rows that are a prefix or not
+# started solves against the cold solve, on unit "=" rows of several layouts
 
 
 def test_started_solve_matches_cold_solve_on_named_row_layouts():
@@ -465,20 +465,22 @@ def test_started_solve_matches_cold_solve_on_named_row_layouts():
     for eps in (0.0, 0.05):
         for inst in _explicit_cases():
             S, n = inst.state_count, inst.action_count
-            honest = np.arange(S) * n + inst.receiver_payoffs.argmax(axis=1)
-            start = np.concatenate([honest, np.full(n * (n - 1), -1)])
+            keys = np.arange(S) * n + inst.receiver_payoffs.argmax(axis=1)
             lp = exact.direct_scheme_lp(inst.state_probs, inst.sender_payoffs,
                                         inst.receiver_payoffs, eps)
-            programs.append((lp, start))
-    # a non-unit diagonal and named rows that are not a prefix
-    A = rng.uniform(0.5, 2.0, (4, 4)) * np.eye(4)
-    A = np.vstack([A, rng.uniform(0, 1, (2, 4))])
-    lp = LinearProgram(rng.uniform(0, 1, 4), A=A, relations=["<="] * 6,
-                       b=np.repeat([3.0, 30.0], [4, 2]))
-    programs += [(lp, np.array([0, 1, 2, 3, -1, -1])),  # a prefix
-                 (lp, np.array([-1, 1, 2, 3, -1, -1]))]  # not a prefix
-    for k, (lp, start) in enumerate(programs):
-        started, cold = solve(lp, start=start), solve(lp)
+            programs.append((lp, keys))
+    # unit "=" rows over interleaved columns, column 5 in none of them, then
+    # two "<=" rows and a ">=" row; and the "<=" rows alone, with no keys
+    A = np.zeros((6, 8))
+    A[[0, 1, 2, 0, 1, 0, 2], [0, 1, 2, 3, 4, 6, 7]] = 1.0
+    A[3:] = rng.uniform(0, 1, (3, 8))
+    lp = LinearProgram(rng.uniform(0, 1, 8), A=A, relations=["="] * 3 + ["<=", "<=", ">="],
+                       b=[1.0, 1.0, 1.0, 3.0, 3.0, 0.1])
+    programs += [(lp, np.array([0, 1, 2])), (lp, np.array([6, 4, 7])),
+                 (LinearProgram(lp.objective, A=A[3:5], relations=["<="] * 2,
+                                b=[3.0, 3.0]), np.zeros(0, dtype=int))]
+    for k, (lp, keys) in enumerate(programs):
+        started, cold = solve(lp, keys=keys), solve(lp)
         assert started.start == "crash" and cold.start == "cold", f"program {k}"
         assert started.value == pytest.approx(cold.value, abs=1e-9)
         x, y, rel = started.point, started.duals, lp.relations
