@@ -2,7 +2,9 @@
 
 solve_exact builds the direct-scheme LP with one variable per
 (state, signal) pair and one incentive constraint per ordered action pair,
-optionally relaxed by an additive epsilon on the deviation payoffs.
+optionally relaxed by an additive epsilon on the deviation payoffs, as a
+DirectSchemeProgram: the started solve and its certificate read the
+incentive block, and no dense constraint matrix is built.
 expand_product turns i.i.d. or independent instances into their explicit
 product form so the exact solver can serve as a ground-truth oracle at
 desk scale; the state count grows as the product of the per-action type
@@ -19,7 +21,7 @@ from typing import Union
 import numpy as np
 
 from .errors import InstanceTooLargeError, SolverError, ValidationError
-from .lp import LinearProgram, solve
+from .lp import DirectSchemeProgram, solve
 from .model import (
     AuditReport,
     DirectScheme,
@@ -45,26 +47,29 @@ class ExactSolution:
 
 
 def direct_scheme_lp(weights: np.ndarray, sender: np.ndarray,
-                     receiver: np.ndarray, epsilon: float) -> LinearProgram:
+                     receiver: np.ndarray, epsilon: float) -> DirectSchemeProgram:
     """Direct-scheme LP over states with the given weights and payoff rows.
 
     One variable per (state t, signal i) pair, indexed state-major as
     t*n + i; one equality per state making its row a distribution; one
     epsilon-relaxed incentive constraint per ordered action pair (i, j),
     in itertools.permutations order. The objective is the weighted sender
-    payoff.
+    payoff. The program holds the incentive coefficients as its (S, n,
+    n(n-1)) block W, and builds the dense A only when it is read. Raises
+    ValidationError on non-finite or mismatched inputs.
     """
+    weights, sender, receiver = (np.asarray(a, dtype=float) for a in (weights, sender, receiver))
+    if (sender.ndim != 2 or 0 in sender.shape or receiver.shape != sender.shape
+            or weights.shape != sender.shape[:1]):
+        raise ValidationError(f"need S weights and (S, n) payoffs, got shapes "
+                              f"{weights.shape}, {sender.shape} and {receiver.shape}")
+    if not all(np.isfinite(a).all() for a in (weights, sender, receiver, epsilon)):
+        raise ValidationError("weights, payoffs and epsilon must be finite")
     S, n = sender.shape
     I, J = np.nonzero(~np.eye(n, dtype=bool))  # the pairs in permutations order
-    P = I.size
-    A = np.zeros((S + P, S, n))
-    A[np.arange(S), np.arange(S)] = 1.0
-    A[S + np.arange(P)[:, None], np.arange(S), I[:, None]] = (
-        weights * (receiver[:, I] - receiver[:, J] + epsilon).T)
-    return LinearProgram((weights[:, None] * sender).reshape(S * n),
-                         A=A.reshape(S + P, S * n),
-                         relations=np.repeat(["=", ">="], [S, P]),
-                         b=np.repeat([1.0, 0.0], [S, P]))
+    W = np.zeros((S, n, I.size))
+    W[:, I, np.arange(I.size)] = weights[:, None] * (receiver[:, I] - receiver[:, J] + epsilon)
+    return DirectSchemeProgram((weights[:, None] * sender).reshape(S * n), W)
 
 
 def solve_exact(instance: ExplicitInstance, epsilon: float = 0.0) -> ExactSolution:
@@ -89,7 +94,7 @@ def solve_exact(instance: ExplicitInstance, epsilon: float = 0.0) -> ExactSoluti
     _require_epsilon(epsilon)
     S, n = instance.state_count, instance.action_count
     lam = instance.state_probs
-    ks, kr = _unit_factors(instance)
+    ks, kr = _unit_factors(instance.sender_payoffs, instance.receiver_payoffs)
     receiver = instance.receiver_payoffs * kr
     # exact argmax, no tie tolerance, so every incentive surplus is >= 0
     honest = np.arange(S) * n + np.argmax(receiver, axis=1)
@@ -159,7 +164,7 @@ def honest_scheme(instance: ExplicitInstance) -> DirectScheme:
 
     Ties are judged on payoffs scaled as in solve_exact, so the scheme does
     not change when the payoffs are scaled by a power of two."""
-    ks, kr = _unit_factors(instance)
+    ks, kr = _unit_factors(instance.sender_payoffs, instance.receiver_payoffs)
     rec = best_response_many(instance.receiver_payoffs * kr, instance.sender_payoffs * ks)
     return DirectScheme(np.eye(instance.action_count)[rec])
 
@@ -167,7 +172,7 @@ def honest_scheme(instance: ExplicitInstance) -> DirectScheme:
 def no_information_scheme(instance: ExplicitInstance) -> DirectScheme:
     """Constant recommendation of the receiver's prior-best action, with ties
     judged on scaled payoffs as in honest_scheme."""
-    ks, kr = _unit_factors(instance)
+    ks, kr = _unit_factors(instance.sender_payoffs, instance.receiver_payoffs)
     i = best_response(instance.state_probs @ instance.receiver_payoffs * kr,
                       instance.state_probs @ instance.sender_payoffs * ks)
     return DirectScheme(np.eye(instance.action_count)[np.full(instance.state_count, i)])

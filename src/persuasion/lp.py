@@ -1,60 +1,37 @@
 """Self-contained dense linear programming.
 
-Implements a two-phase primal simplex on a dense tableau for cold solves,
-and a revised-simplex phase 2 with generalized upper bounding for solves
-from a start basis. All programs in this package are small and dense, so
-these methods are both fast enough and, more importantly, deterministic:
-identical inputs always produce the identical vertex. Both paths pivot by
-one rule (_PivotRule): the largest-coefficient entering column, a ratio
-test whose ties go to the smallest basis label, and Bland's rule after a
-long degenerate streak, which guarantees termination without cycling.
+Implements a two-phase primal simplex on a dense tableau (_Tableau) for
+cold solves, and a revised-simplex phase 2 (_gub) for solves from a start
+basis. All programs in this package are small and dense, so these methods
+are both fast enough and, more importantly, deterministic: identical inputs
+always produce the identical vertex. Both paths pivot by one rule
+(_PivotRule): the largest-coefficient entering column, a ratio test whose
+ties go to the smallest basis label, and Bland's rule after a long
+degenerate streak, which guarantees termination without cycling.
 
-A pivot costs O(k * width) for a tableau of the given width, where k is the
-number of rows with a nonzero entry in the pivot column: the rank-1 update
-leaves all other rows alone, since it would only subtract exact zeros there.
-The phase-1 objective row is priced only until phase 1 ends.
+A start basis skips phase 1 and the tableau: ``solve(lp, keys=...)`` on a
+DirectSchemeProgram, whose S state rows are unit "=" rows over blocks of n
+variables, names one key per block. Phase 2 then keeps the state rows
+implicit (Dantzig and Van Slyke, "Generalized upper bounding techniques",
+JCSS 1967) and pivots on an n(n-1) x n(n-1) basis over the incentive rows,
+read from W, never from the dense A. A start with a negative basic
+solution, and a started solve that is not certified optimal, runs the cold
+solve, byte for byte as without a start.
 
-A program is held in matrix form (A, relations, b) over variables x >= 0,
-which the builders assemble with numpy and the constructor checks in one
-vectorized pass. The tableau copies A into place, negating the rows whose
-rhs is negative.
-
-The tableau has no artificial columns. Artificial variables exist only as
-basis labels: phase 1 prices and the drive-out step reads only the
-structural and slack columns, and duals and Farkas vectors are recovered
-from the labels, A and the row signs. On a 300-state, 3-action
-direct-scheme program that makes each row about a quarter narrower.
-
-A start basis skips phase 1 and the tableau. ``solve(lp, keys=...)`` makes
-keys[k] the basic variable of each leading row k < len(keys). The start is
-accepted when those rows are "=" rows whose nonzeros are all 1, with
-pairwise disjoint supports, every other row is an inequality, and the
-basic solution is nonnegative up to FEAS_TOL. Phase 2 then uses
-generalized upper bounding (Dantzig and Van Slyke, "Generalized upper
-bounding techniques", JCSS 1967): each named row stays implicit, with its
-key basic, and only the inverse of the basis W over the other rows is
-kept. For a direct-scheme program W is n(n-1) x n(n-1) for any number of
-states. W^-1 gets a product-form update per pivot, a Sherman-Morrison
-update when a key's set member takes over as key, and is refactorized
-every _REFACTOR_EVERY updates and when a key change moves more than one
-column of W. Many pivots of a direct-scheme program are free swaps, which
-go as vectorized blocks (see _gub). The pivot rule is the tableau's, so in
-exact arithmetic the path is the same, blocks included, and the duals come
-from W. Any other start, and a started solve that is not certified
-optimal, runs the cold solve, byte for byte as without a start.
-
-Both paths return through one certificate (_certify), computed from A, b
-and c: the point is feasible, the duals are dual feasible with the sign
-each relation asks for, and the duality gap closes. Tolerances: pivot
-1e-10, feasibility 1e-8, gap 1e-7 relative. An answer that cannot be
-certified comes back with status "numerical_failure", never as a wrong
-optimum or as an optimum without duals.
+Both paths return through one certificate (_certify), computed from A x,
+A^T y, b and c, which a direct-scheme program forms from W: the point is
+feasible, the duals are dual feasible with the sign each relation asks
+for, and the duality gap closes. Tolerances: pivot 1e-10, feasibility
+1e-8, gap 1e-7 relative. An answer that cannot be certified comes back with
+status "numerical_failure", never as a wrong optimum or as an optimum
+without duals.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -120,15 +97,51 @@ class LinearProgram:
             if not finite.all():
                 raise ValidationError(
                     f"constraint {np.argmin(finite)}: {name} must be finite")
-        for name, value in zip(("objective", "A", "relations", "b"), (c, A, rel, b)):
-            view = value.view()  # read-only; the caller's array stays writeable
-            view.setflags(write=False)
-            object.__setattr__(self, name, view)
+        _freeze(self, objective=c, A=A, relations=rel, b=b)
 
     @property
     def constraints(self) -> Sequence:
         """The rows as (coeffs, relation, rhs) tuples over views of A (read-only)."""
         return _Rows(self)
+
+    def _products(self, x: np.ndarray, y: np.ndarray) -> tuple:
+        """A @ x and A.T @ y."""
+        return self.A @ x, self.A.T @ y
+
+
+def _freeze(obj, **arrays) -> None:
+    """Set each array on obj as a read-only view; the caller's stays writeable."""
+    for name, value in arrays.items():
+        object.__setattr__(obj, name, value.view())
+        getattr(obj, name).setflags(write=False)
+
+
+class DirectSchemeProgram(LinearProgram):
+    """The direct-scheme program: sum(x[t*n:(t+1)*n]) = 1 for each state t,
+    then W[:, :, p].ravel() @ x >= 0 for each incentive row p. Keys, the
+    started solve and the certificate read W; the dense A is built when first
+    read (cold solve, constraints[k]). direct_scheme_lp checks the inputs.
+    """
+
+    def __init__(self, objective: np.ndarray, W: np.ndarray):
+        S, _, P = W.shape
+        _freeze(self, objective=objective, W=W, b=np.repeat([1.0, 0.0], [S, P]),
+                relations=np.repeat(["=", ">="], [S, P]).astype("<U2"))
+
+    @cached_property
+    def A(self) -> np.ndarray:
+        S, n, P = self.W.shape
+        A = np.zeros((S + P, S * n))  # filled in place: one copy of A at a time
+        A[np.arange(S).repeat(n), np.arange(S * n)] = 1.0
+        A[S:] = self.W.reshape(S * n, P).T
+        A.setflags(write=False)
+        return A
+
+    def _products(self, x: np.ndarray, y: np.ndarray) -> tuple:
+        S, n, P = self.W.shape
+        W = self.W.reshape(S * n, P)
+        return (np.concatenate([x.reshape(S, n).sum(axis=1), W.T @ x]),
+                np.repeat(y[:S], n) + W @ y[S:])
 
 
 @dataclass(frozen=True)
@@ -143,10 +156,8 @@ class LpOutcome:
     for infeasible programs. ``pivots`` counts the simplex pivots of phase 1
     and phase 2; the pivots that drive leftover artificial variables out of
     the basis between the phases are not counted. ``start`` is "crash" when
-    the keys given to :func:`solve` were accepted and its phase 2 answered,
-    so phase 1 did not run and ``pivots`` is (0, phase-2 pivots); it is
-    "cold" otherwise, rejected keys included, and so is the cold re-solve
-    that replaces a started solve which did not end certified optimal.
+    the phase 2 started from the keys given to :func:`solve` answered, so
+    ``pivots`` is (0, phase-2 pivots), and "cold" when the cold solve did.
     """
 
     status: str
@@ -161,20 +172,19 @@ class LpOutcome:
 def solve(lp: LinearProgram, keys=None) -> LpOutcome:
     """Solve a linear program, returning a vertex optimum when one exists.
 
-    ``keys`` optionally names a start basis over the leading rows: keys[k]
-    is the basic variable of row k for k < len(keys), and every other row
-    keeps its slack or surplus basic. The named rows stay implicit and phase
-    2 pivots on a basis over the other rows (see the module docstring). A
-    start that is not accepted falls back to the cold two-phase solve, and
-    so does a started solve that does not end certified optimal. An
-    "optimal" outcome carries certified duals whichever path answered.
+    ``keys`` optionally names a start basis of a DirectSchemeProgram, one
+    basic variable in each state's block (see the module docstring); keys
+    on any other program, or not one per block, raise ValidationError. A
+    start whose basic solution is negative falls back to the cold two-phase
+    solve, and so does a started solve that does not end certified optimal.
+    An "optimal" outcome carries certified duals whichever path answered.
     """
     if keys is not None:
         keys = np.asarray(keys)
-        if keys.ndim != 1 or keys.size > lp.b.size or keys.size and (
-                keys.dtype.kind not in "iu" or keys.min() < 0
-                or keys.max() >= lp.objective.size):
-            raise ValidationError("keys must be at most one variable index per constraint")
+        if not (isinstance(lp, DirectSchemeProgram) and keys.shape == lp.W.shape[:1]
+                and keys.dtype.kind in "iu"
+                and (keys // lp.W.shape[1] == np.arange(keys.size)).all()):
+            raise ValidationError("keys must name one variable per block of a DirectSchemeProgram")
         out = _gub(lp, keys.astype(int))
         if out is not None and out.status == "optimal":
             return out
@@ -183,7 +193,7 @@ def solve(lp: LinearProgram, keys=None) -> LpOutcome:
 
 def _max_iter(lp: LinearProgram) -> int:
     """Pivots after which either path ends as a numerical failure."""
-    return 2000 + 50 * (lp.A.shape[1] + int((lp.relations != "=").sum()) + 2 * lp.b.size)
+    return 2000 + 50 * (lp.objective.size + int((lp.relations != "=").sum()) + 2 * lp.b.size)
 
 
 # ---------------------------------------------------------------------------
@@ -374,18 +384,20 @@ def _simplex(lp: LinearProgram) -> LpOutcome:
 _REFACTOR_EVERY = 32  # product-form updates of W^-1 between refactorizations
 
 
-def _gub(lp: LinearProgram, key: np.ndarray) -> Optional[LpOutcome]:
-    """Revised-simplex phase 2 from a start basis; None if it is rejected.
+def _gub(lp: DirectSchemeProgram, key: np.ndarray) -> Optional[LpOutcome]:
+    """Revised-simplex phase 2 from a start basis; None if it is rejected:
+    its basic solution is negative, or its basis W is singular.
 
-    Row k < K = len(key) is a set: the variables with a 1 in it, its only
-    nonzero. One basic per set, its key, stays implicit at b_k less the
-    set's other basics. On the other (working) rows, column j of set k
-    then acts as d_j = a_j - a_key, with cost c_j - c_key, and only W^-1 is
-    kept, for the basis W of the non-key basics there. Pricing is one
-    mat-vec over the d_j and the entering column another; the ratio test
-    covers W's basics and the keys that move. The pivot rule is the
-    tableau's, so in exact arithmetic the path is the same. The result is
-    certified from A.
+    State row k is a set, the variables of its block. One basic per set,
+    its key, stays implicit at b_k less the set's other basics. On the
+    incentive (working) rows, column j of set k then acts as d_j = a_j -
+    a_key, with cost c_j - c_key, a_j holding lp.W's entries of variable j;
+    only W^-1 is kept, for the basis W of the non-key basics there. Pricing
+    is one mat-vec over the d_j and the entering column another; the ratio
+    test covers W's basics and the keys that move. W^-1 gets a product-form
+    update per pivot, a Sherman-Morrison update when a key's set member
+    takes over as key, and is refactorized every _REFACTOR_EVERY updates
+    and when a key change moves more than one column of W.
 
     A free swap is a pivot in which a key leaves for a member of its own
     set while W holds no basic of that set, so W^-1 and pi stay. After
@@ -398,34 +410,20 @@ def _gub(lp: LinearProgram, key: np.ndarray) -> Optional[LpOutcome]:
     more than PIVOT_TOL, at a step above PIVOT_TOL. No block is taken
     under Bland's rule, and each swap counts as a pivot.
     """
-    A, b, c, rel = lp.A, lp.b, lp.objective, lp.relations
-    (m, n), K = A.shape, key.size
-    P = m - K
-    hit = A[:K] != 0.0
-    count = hit.sum(axis=0)
-    if ((rel[:K] != "=").any() or (rel[K:] == "=").any() or (count > 1).any()
-            or (A[:K].sum(axis=0) != count).any()):
-        return None  # not unit "=" rows with disjoint supports, then inequalities
-    N = n + P  # the slack of working row K + p has label n + p
-    s = np.concatenate([np.where(count > 0, hit.argmax(axis=0) if K else 0, -1),
-                        np.full(P, -1)])  # the set of each variable, -1 for none
-    if (s[key] != np.arange(K)).any():
-        return None  # a key is not in its row
-    wb = n + np.arange(P)  # W's columns: the working rows' slacks
+    b, c = lp.b, lp.objective
+    (K, w, P), n = lp.W.shape, c.size
+    s = np.concatenate([np.arange(n) // w, np.full(P, -1)])  # the set of each variable
+    wb = n + np.arange(P)  # W's columns: the surplus of working row p has label n + p
     # one line per variable: its coefficients in the working rows, then its cost
-    AC = np.zeros((N, P + 1))
-    AC[:n, :P] = A[K:].T
+    AC = np.zeros((n + P, P + 1))
+    AC[:n, :P] = lp.W.reshape(n, P)
     AC[:n, P] = c
-    AC[wb, np.arange(P)] = np.where(rel[K:] == "<=", 1.0, -1.0)
-    members = np.argsort(s, kind="stable")
-    first = np.searchsorted(s[members], np.arange(K + 1))
+    AC[wb, np.arange(P)] = -1.0
     DC = AC.copy()  # the same, reduced against the keys
 
     def rekey(ks):  # reduce the lines of the sets ks against their keys; returns them
-        size = first[ks + 1] - first[ks]
-        G = members[np.repeat(first[ks] - np.cumsum(size) + size, size)
-                    + np.arange(size.sum())]
-        DC[G] = AC[G] - AC[key[s[G]]]
+        G = (ks[:, None] * w + np.arange(w)).reshape(-1)
+        DC[G] = AC[G] - AC[np.repeat(key[ks], w)]
         return G
 
     rekey(np.arange(K))
@@ -539,7 +537,7 @@ def _gub(lp: LinearProgram, key: np.ndarray) -> Optional[LpOutcome]:
     pivots = (0, it)
     if status != "optimal":
         return LpOutcome(status=status, pivots=pivots, start="crash")
-    x = np.zeros(N)
+    x = np.zeros(n + P)
     x[lab] = val
     pi = -neg_pi
     y = np.concatenate([AC[key, P] - AC[key, :P] @ pi, pi])
@@ -555,16 +553,17 @@ def _certify(lp: LinearProgram, x: np.ndarray, y: Optional[np.ndarray],
     dual feasible, c - A^T y <= 0, and have the sign each relation asks
     for, >= 0 on "<=" rows and <= 0 on ">=" rows, within FEAS_TOL times the
     largest |c|. The duality gap c x - y b must close within 1e-7 relative.
+    A x and A^T y come from the program's _products.
     """
-    A, b, c, rel = lp.A, lp.b, lp.objective, lp.relations
+    b, c, rel = lp.b, lp.objective, lp.relations
     value = float(c @ x)
     if y is not None:
-        lhs, tol = A @ x, FEAS_TOL * max(1.0, float(np.abs(c).max()))
+        (lhs, aty), tol = lp._products(x, y), FEAS_TOL * max(1.0, float(np.abs(c).max()))
         le, ge = rel == "<=", rel == ">="
         if not ((x < -FEAS_TOL).any() or (lhs[le] > b[le] + FEAS_TOL).any()
                 or (lhs[ge] < b[ge] - FEAS_TOL).any()
                 or (np.abs(lhs - b)[~(le | ge)] > FEAS_TOL).any()
-                or (c - A.T @ y > tol).any() or (y[le] < -tol).any()
+                or (c - aty > tol).any() or (y[le] < -tol).any()
                 or (y[ge] > tol).any()
                 or abs(value - y @ b) > 1e-7 * max(1.0, abs(value))):
             return LpOutcome(status="optimal", value=value, point=x, duals=y,

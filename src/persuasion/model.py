@@ -82,16 +82,16 @@ class ExplicitInstance:
         return self.sender_payoffs.shape[1]
 
 
-def _unit_factors(instance: ExplicitInstance):
+def _unit_factors(sender: np.ndarray, receiver: np.ndarray):
     """(ks, kr): the powers of two that bring the largest magnitude of the
     sender and of the receiver payoffs into (1/2, 1] (1.0 for an all-zero
-    matrix). Scaling by them is exact, so tolerances applied to the scaled
+    array). Scaling by them is exact, so tolerances applied to the scaled
     payoffs act relative to the payoffs."""
     def factor(payoffs):
         mant, e = math.frexp(max(payoffs.max(), -payoffs.min()))  # mant in [1/2, 1)
         return math.ldexp(1.0, (mant == 0.5) - e)
 
-    return factor(instance.sender_payoffs), factor(instance.receiver_payoffs)
+    return factor(sender), factor(receiver)
 
 
 @dataclass(frozen=True)

@@ -46,7 +46,6 @@ from .model import (
     IIDInstance,
     InverseCDF,
     _unit_factors,
-    best_response,
     best_response_many,
 )
 
@@ -154,7 +153,9 @@ class EvalReport:
     ic_slack_mean[i, j] estimates the prior-weighted advantage of following
     recommendation i over deviating to j, with entrywise standard errors in
     ic_slack_se. follow_rate is the fraction of trials whose recommendation
-    is a best response to the empirical posterior of its signal.
+    is a best response to the empirical posterior of its signal, with ties
+    judged on the signals' mean payoffs scaled by powers of two into
+    (1/2, 1], so that scaling the payoffs by 2**k leaves it as it is.
 
     std_error is the empirical standard error of the mean utility. It
     reads 0 when every trial paid the same, for instance when no trial
@@ -235,8 +236,10 @@ def monte_carlo_eval(sampler, source, trials: int,
     second = second_sum / trials
     slack_se = np.sqrt(np.clip(second - slack_mean ** 2, 0.0, None) / trials)
     counts = np.bincount(recs, minlength=n).astype(float)
-    followed = sum(counts[i] for i in np.flatnonzero(counts)
-                   if best_response(r_sum[i] / counts[i], s_sum[i] / counts[i]) == i)
+    seen = np.flatnonzero(counts)
+    r_mean, s_mean = r_sum[seen] / counts[seen, None], s_sum[seen] / counts[seen, None]
+    ks, kr = _unit_factors(s_mean, r_mean)  # ties are judged relative to the payoffs
+    followed = counts[seen][best_response_many(r_mean * kr, s_mean * ks) == seen].sum()
     return EvalReport(
         trials=trials,
         mean_sender_utility=mean,
@@ -376,7 +379,7 @@ def concavification_value(instance: ExplicitInstance, resolution=None) -> float:
     S = instance.state_count
     if S > 3:
         raise InstanceTooLargeError(S, 3)
-    ks, kr = _unit_factors(instance)
+    ks, kr = _unit_factors(instance.sender_payoffs, instance.receiver_payoffs)
     unit = ExplicitInstance(instance.state_probs, instance.sender_payoffs * ks,
                             instance.receiver_payoffs * kr)
     pts = np.vstack([_arrangement_vertices(unit), unit.state_probs[None, :]])

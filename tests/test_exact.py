@@ -1,5 +1,7 @@
 """Exact solver and product expansion tests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -218,3 +220,56 @@ def test_honest_scheme_scales_with_payoffs():
                                       inst.receiver_payoffs * f)
             for scheme in (honest_scheme, no_information_scheme):
                 assert np.array_equal(scheme(scaled).phi, scheme(inst).phi), scheme
+
+
+def test_solve_exact_builds_no_dense_matrix(monkeypatch):
+    # at 2187 states and 7 actions the dense A would be 273 MB; the started
+    # solve reads the program's incentive block, about 5 MB, and its honest
+    # start is optimal here, so it takes no pivot
+    full = expand_product(fixtures.random_iid(np.random.default_rng(1), actions=7, types=3))
+    seen = []
+
+    def recording(lp, **kwargs):
+        seen.append((lp, solve(lp, **kwargs)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(exact, "solve", recording)
+    tracemalloc.start()
+    try:
+        sol = solve_exact(full, 0.05)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    (lp, out), = seen
+    assert out.status == "optimal" and out.start == "crash" and out.pivots == (0, 0)
+    assert "A" not in vars(lp)  # the dense matrix was never built
+    assert peak < 48 * 2 ** 20, peak
+    assert sol.audit.epsilon_certified <= 0.05 + 1e-9
+
+
+_WEIGHTS, _PAYOFFS = np.full(2, 0.5), np.array([[0.0, 1.0], [1.0, 0.0]])
+
+
+@pytest.mark.parametrize("args", [
+    (np.array([0.5, np.nan]), _PAYOFFS, _PAYOFFS, 0.0),
+    (_WEIGHTS, np.array([[0.0, np.inf], [1.0, 0.0]]), _PAYOFFS, 0.0),
+    (_WEIGHTS, _PAYOFFS, np.array([[0.0, 1.0], [-np.inf, 0.0]]), 0.0),
+    (_WEIGHTS, _PAYOFFS[:, :1], np.array([[np.nan], [0.0]]), 0.0),  # no incentive rows
+    (_WEIGHTS, _PAYOFFS, _PAYOFFS, np.nan),
+    (_WEIGHTS, _PAYOFFS, _PAYOFFS, np.inf),
+])
+def test_direct_scheme_lp_rejects_non_finite_input(args):
+    with pytest.raises(ValidationError, match="must be finite"):
+        direct_scheme_lp(*args)
+
+
+@pytest.mark.parametrize("args", [
+    (_WEIGHTS, _PAYOFFS, _PAYOFFS[:, :1]),
+    (_WEIGHTS, _PAYOFFS[:1], _PAYOFFS[:1]),
+    (np.full(3, 1 / 3), _PAYOFFS, _PAYOFFS),
+    (_WEIGHTS, _PAYOFFS[0], _PAYOFFS[0]),
+    (_WEIGHTS, _PAYOFFS[:, :0], _PAYOFFS[:, :0]),
+])
+def test_direct_scheme_lp_rejects_mismatched_shapes(args):
+    with pytest.raises(ValidationError, match="need S weights"):
+        direct_scheme_lp(*args, 0.0)

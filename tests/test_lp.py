@@ -468,30 +468,13 @@ def _dominated_instance():
 
 
 def _rejected_starts():
-    """(program, keys) that solve does not start from, one per rule: a "<="
-    named row, a non-unit coefficient, overlapping supports, a key outside
-    its row, an "=" working row (an incentive row, then a state row, whose
-    basic solution is also negative) and a negative basic solution."""
+    """(program, keys) that solve does not start from: keys whose basic
+    solution is negative, on a dominated action and on the receiver's worst
+    action of each state."""
     inst = fixtures.random_explicit(np.random.default_rng(7), 30, 3)
-    lp, keys = _direct_lp(inst, 0.05), _honest_keys(inst)
-
-    def changed(A=lp.A, relations=lp.relations, b=lp.b):
-        return LinearProgram(lp.objective, A=A, relations=relations, b=b)
-
-    relations, equal_ic = lp.relations.copy(), lp.relations.copy()
-    relations[0] = "<="
-    equal_ic[30] = "="  # an incentive row, whose surplus starts >= 0
-    scaled, b = lp.A.copy(), lp.b.copy()
-    scaled[0] *= 2.0
-    b[0] = 2.0
-    overlapping = lp.A.copy()
-    overlapping[0, 3] = 1.0  # a variable of state 1 in state 0's row
-    outside = keys.copy()
-    outside[0] = 3 + (keys[1] + 1) % 3  # a variable of state 1, not its key
+    worst = np.arange(30) * 3 + np.argmin(inst.receiver_payoffs, axis=1)
     all_dominated = np.arange(20) * 3 + 1
-    return [(changed(relations=relations), keys), (changed(A=scaled, b=b), keys),
-            (changed(A=overlapping), keys), (lp, outside),
-            (changed(relations=equal_ic), keys), (lp, keys[:-1]),
+    return [(_direct_lp(inst, 0.05), worst),
             (_direct_lp(_dominated_instance(), 0.0), all_dominated)]
 
 
@@ -504,23 +487,18 @@ def test_rejected_start_is_the_cold_solve():
 
 
 def test_start_on_general_programs():
-    # keys=[] on a "<=" program with b >= 0 starts from the slack basis
-    lp = row_lp([1.0, 2.0], [([1.0, 0.0], "<=", 3.0), ([1.0, 1.0], "<=", 4.0),
-                             ([0.0, 1.0], "<=", 5.0)])
-    out = solve(lp, keys=[])
-    assert out.start == "crash" and out.value == pytest.approx(8.0, abs=1e-12)
-    # two unit "=" rows, then a "<=" and a ">=" working row
-    lp = row_lp([1.0, 2.0, 3.0, 1.0], [([1.0, 1.0, 0.0, 0.0], "=", 1.0),
-                                       ([0.0, 0.0, 1.0, 1.0], "=", 1.0),
-                                       ([0.0, 1.0, 1.0, 0.0], "<=", 1.5),
-                                       ([1.0, 0.0, 0.0, 1.0], ">=", 0.25)])
-    out = solve(lp, keys=[0, 3])
-    assert out.start == "crash" and out.pivots[1] > 0
-    assert out.value == pytest.approx(4.5, abs=1e-12)
-    _assert_certified(lp, out)
-    assert solve(lp, keys=[1, 2]).start == "cold"  # x1 + x2 = 2 breaks row 2
-    assert solve(lp, keys=[0, 0]).start == "cold"  # variable 0 is not in row 1
-    assert solve(row_lp([1.0], [([1.0], "=", 3.0)]), keys=[0]).pivots == (0, 0)
+    # keys are taken only on a direct-scheme program, not on the same program
+    # in dense form, and not on any other program
+    inst = fixtures.random_explicit(np.random.default_rng(7), 30, 3)
+    lp, keys = _direct_lp(inst, 0.05), _honest_keys(inst)
+    assert solve(lp, keys=keys).start == "crash"
+    dense = LinearProgram(lp.objective, A=lp.A, relations=lp.relations, b=lp.b)
+    slack = row_lp([1.0, 2.0], [([1.0, 0.0], "<=", 3.0), ([1.0, 1.0], "<=", 4.0)])
+    for program, start in ((dense, keys), (slack, []),
+                           (row_lp([1.0], [([1.0], "=", 3.0)]), [0])):
+        with pytest.raises(ValidationError, match="DirectSchemeProgram"):
+            solve(program, keys=start)
+        assert solve(program).start == "cold"
 
 
 def _random_direct_case(rng):
@@ -556,6 +534,33 @@ def test_started_solve_matches_cold_solve_on_random_programs():
         corners.add((inst.state_count == 1, inst.action_count == 1))
     assert corners == {(False, False), (False, True), (True, False), (True, True)}
     assert pivots == 2006  # the pivot rule's path, free swaps taken in blocks or not
+
+
+def test_structured_certificate_matches_dense_certificate():
+    # a direct-scheme program forms A x and A^T y from its incentive block W;
+    # they match the products with its dense A, and the certificate rejects
+    # a state row off by 1e-6 and an incentive dual of the wrong sign on
+    # either form
+    rng = np.random.default_rng(1967)
+    for _ in range(200):
+        inst, eps = _random_direct_case(rng)
+        lp = _direct_lp(inst, eps)
+        dense = LinearProgram(lp.objective, A=lp.A, relations=lp.relations, b=lp.b)
+        keys = _honest_keys(inst)
+        out = solve(lp, keys=keys)
+        x, y = out.point, out.duals
+        for got, want in zip(lp._products(x, y), dense._products(x, y)):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+        bad_x = x.copy()
+        bad_x[keys[-1]] += 1e-6
+        bad_y = y.copy()
+        bad_y[-1] = 1e-6  # the last row is an incentive row when n > 1
+        for program in (lp, dense):
+            assert lp_module._certify(program, x, y, out.pivots).status == "optimal"
+            assert lp_module._certify(program, bad_x, y, out.pivots).status == "numerical_failure"
+            if inst.action_count > 1:
+                assert lp_module._certify(program, x, bad_y,
+                                          out.pivots).status == "numerical_failure"
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -615,19 +620,13 @@ def test_crash_solve_that_fails_is_redone_cold(monkeypatch):
     out = solve(lp, keys=_honest_keys(inst))
     assert len(factorizations) == 2
     assert out.start == "cold" and _as_bytes(out) == _as_bytes(cold)
-    # a started solve that ends unbounded is redone cold, and so ends unbounded
-    monkeypatch.undo()  # with inv still failing, the start would be rejected
-    lp = row_lp([1.0, 1.0, 1.0], [([1.0, 1.0, 0.0], "=", 1.0)])
-    assert lp_module._gub(lp, np.array([0])).status == "unbounded"
-    out = solve(lp, keys=[0])
-    assert out.status == "unbounded" and out.start == "cold"
-    assert _as_bytes(out) == _as_bytes(solve(lp))
 
 
-@pytest.mark.parametrize("start", [[[0]], [0, 1, 0], [0.0], [-1], [2]])
+@pytest.mark.parametrize("start", [[[0, 2]], [0, 2, 3], [0.0, 2.0], [-1, 2], [0, 1], [0, 4]])
 def test_malformed_start_is_rejected(start):
-    # keys that are 2-D, longer than the program has rows, not integers,
-    # negative, or past the last variable
-    lp = row_lp([1.0, 1.0], [([1.0, 0.0], "<=", 1.0), ([0.0, 1.0], "<=", 1.0)])
+    # keys on a 2-state, 2-action program that are 2-D, not one per state,
+    # not integers, negative, in another state's block, or past the last
+    # variable
+    lp = _direct_lp(fixtures.random_explicit(np.random.default_rng(5), 2, 2), 0.0)
     with pytest.raises(ValidationError, match="keys"):
         solve(lp, keys=start)

@@ -244,7 +244,7 @@ def test_empirical_lp_matches_row_builder():
                                     return_counts=True)
         n = s.shape[1]
         # solve_exact scales the payoffs by powers of two before building
-        ks, kr = _unit_factors(ExplicitInstance(counts / 400, uniq[:, :n], uniq[:, n:]))
+        ks, kr = _unit_factors(uniq[:, :n], uniq[:, n:])
         _same_program(seen[0], _rows_direct_scheme_lp(
             counts / 400, uniq[:, :n] * ks, uniq[:, n:] * kr, eps * kr))
 
@@ -456,42 +456,35 @@ def test_zero_shift_rhs_matches_per_row_products():
 
 
 # ---------------------------------------------------------------------------
-# started solves against the cold solve, on unit "=" rows of several layouts
+# started solves against the cold solve, on the direct-scheme layout
 
 
 def test_started_solve_matches_cold_solve_on_named_row_layouts():
-    rng = np.random.default_rng(31)
-    programs = []
+    # the started solve reads the program's incentive block W; the cold
+    # solve of the program and of its dense copy read A, byte for byte alike
     for eps in (0.0, 0.05):
-        for inst in _explicit_cases():
+        for k, inst in enumerate(_explicit_cases()):
             S, n = inst.state_count, inst.action_count
             keys = np.arange(S) * n + inst.receiver_payoffs.argmax(axis=1)
             lp = exact.direct_scheme_lp(inst.state_probs, inst.sender_payoffs,
                                         inst.receiver_payoffs, eps)
-            programs.append((lp, keys))
-    # unit "=" rows over interleaved columns, column 5 in none of them, then
-    # two "<=" rows and a ">=" row; and the "<=" rows alone, with no keys
-    A = np.zeros((6, 8))
-    A[[0, 1, 2, 0, 1, 0, 2], [0, 1, 2, 3, 4, 6, 7]] = 1.0
-    A[3:] = rng.uniform(0, 1, (3, 8))
-    lp = LinearProgram(rng.uniform(0, 1, 8), A=A, relations=["="] * 3 + ["<=", "<=", ">="],
-                       b=[1.0, 1.0, 1.0, 3.0, 3.0, 0.1])
-    programs += [(lp, np.array([0, 1, 2])), (lp, np.array([6, 4, 7])),
-                 (LinearProgram(lp.objective, A=A[3:5], relations=["<="] * 2,
-                                b=[3.0, 3.0]), np.zeros(0, dtype=int))]
-    for k, (lp, keys) in enumerate(programs):
-        started, cold = solve(lp, keys=keys), solve(lp)
-        assert started.start == "crash" and cold.start == "cold", f"program {k}"
-        assert started.value == pytest.approx(cold.value, abs=1e-9)
-        x, y, rel = started.point, started.duals, lp.relations
-        lhs = lp.A @ x
-        assert np.all(x >= -1e-9)
-        assert np.all(lhs[rel == "<="] <= lp.b[rel == "<="] + 1e-9)
-        assert np.all(lhs[rel == ">="] >= lp.b[rel == ">="] - 1e-9)
-        assert np.all(np.abs(lhs - lp.b)[rel == "="] <= 1e-9)
-        assert np.all(y[rel == "<="] >= -1e-9) and np.all(y[rel == ">="] <= 1e-9)
-        assert np.all(lp.objective - lp.A.T @ y <= 1e-9)
-        assert y @ lp.b == pytest.approx(started.value, abs=1e-9)
+            started = solve(lp, keys=keys)
+            assert "A" not in vars(lp), f"program {k}"  # W alone served the start
+            dense = LinearProgram(lp.objective, A=lp.A, relations=lp.relations, b=lp.b)
+            cold, again = solve(lp), solve(dense)
+            for field in ("value", "point", "duals", "pivots"):
+                assert (np.asarray(getattr(cold, field)).tobytes()
+                        == np.asarray(getattr(again, field)).tobytes()), f"program {k}"
+            assert started.start == "crash" and cold.start == "cold", f"program {k}"
+            assert started.value == pytest.approx(cold.value, abs=1e-9)
+            x, y, rel = started.point, started.duals, lp.relations
+            lhs = lp.A @ x
+            assert np.all(x >= -1e-9)
+            assert np.all(lhs[rel == ">="] >= lp.b[rel == ">="] - 1e-9)
+            assert np.all(np.abs(lhs - lp.b)[rel == "="] <= 1e-9)
+            assert np.all(y[rel == ">="] <= 1e-9)
+            assert np.all(lp.objective - lp.A.T @ y <= 1e-9)
+            assert y @ lp.b == pytest.approx(started.value, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from persuasion.errors import InstanceTooLargeError, ValidationError
 from persuasion.exact import expand_product, honest_scheme, no_information_scheme, solve_exact
 from persuasion.iid import Signature, signature_of, solve_s_signature, implement_s_signature
 from persuasion.model import (DirectScheme, ExplicitInstance, IIDInstance, InverseCDF,
-                              best_response, best_response_many)
+                              _unit_factors, best_response, best_response_many)
 from persuasion.verify import (
     BLOCK_TRIALS,
     DirectSchemeSampler,
@@ -284,6 +284,25 @@ def test_follow_rate_with_strict_preferences():
     assert rep.follow_rate == 1.0
 
 
+def test_follow_rate_scales_with_payoffs():
+    # ties are judged on each signal's mean payoffs scaled by powers of two
+    # into (1/2, 1], so scaling the payoffs by 2**k leaves the follow rate
+    # as it is; an absolute tie tolerance merged the gaps of small payoffs
+    rng = np.random.default_rng(97)
+    for _ in range(60):
+        inst = fixtures.random_explicit(rng, int(rng.integers(2, 20)), int(rng.integers(2, 5)))
+        sampler = DirectSchemeSampler(solve_exact(inst).scheme)
+        base = monte_carlo_eval(sampler, ExplicitSource(inst), 2000, np.random.default_rng(5))
+        for k in (-20, -30):
+            f = 2.0 ** k
+            scaled = ExplicitInstance(inst.state_probs, inst.sender_payoffs * f,
+                                      inst.receiver_payoffs * f)
+            rep = monte_carlo_eval(sampler, ExplicitSource(scaled), 2000,
+                                   np.random.default_rng(5))
+            assert rep.follow_rate == base.follow_rate
+            assert rep.mean_sender_utility == base.mean_sender_utility * f
+
+
 def test_slack_estimates_match_expected_values():
     # single-state source: slacks are deterministic payoff differences
     inst = ExplicitInstance([1.0], [[0.2, 0.9]], [[0.5, 0.4]])
@@ -342,7 +361,7 @@ def _reference_monte_carlo_eval(sampler, source, trials, rng):
     slack_mean = np.zeros((n, n))
     slack_se = np.zeros((n, n))
     counts = np.bincount(recs, minlength=n).astype(float)
-    followed = 0.0
+    means = {}  # signal: its mean receiver and sender payoffs
     for i in range(n):
         mask = recs == i
         if not mask.any():
@@ -352,7 +371,13 @@ def _reference_monte_carlo_eval(sampler, source, trials, rng):
         second = (diffs * diffs).sum(axis=0) / trials
         slack_mean[i] = mean_i
         slack_se[i] = np.sqrt(np.clip(second - mean_i ** 2, 0.0, None) / trials)
-        if best_response(receiver[mask].mean(axis=0), sender[mask].mean(axis=0)) == i:
+        means[i] = receiver[mask].mean(axis=0), sender[mask].mean(axis=0)
+    # ties are judged on the means scaled by powers of two into (1/2, 1]
+    ks, kr = _unit_factors(np.array([s for _, s in means.values()]),
+                           np.array([r for r, _ in means.values()]))
+    followed = np.float64(0.0)
+    for i, (r, s) in means.items():
+        if best_response(r * kr, s * ks) == i:
             followed += counts[i]
     return (trials, float(utilities.mean()),
             float(utilities.std(ddof=0) / np.sqrt(trials)),
