@@ -1,30 +1,25 @@
 """Self-contained dense linear programming.
 
-Implements a two-phase primal simplex on a dense tableau (_Tableau) for
-cold solves, and a revised-simplex phase 2 (_gub) for solves from a start
-basis. All programs in this package are small and dense, so these methods
-are both fast enough and, more importantly, deterministic: identical inputs
-always produce the identical vertex. Both paths pivot by one rule
-(_PivotRule): the largest-coefficient entering column, a ratio test whose
-ties go to the smallest basis label, and Bland's rule after a long
-degenerate streak, which guarantees termination without cycling.
+One two-phase revised simplex (_gub) solves every program. All programs in
+this package are small and dense, so it is both fast enough and, more
+importantly, deterministic: identical inputs always produce the identical
+vertex. It pivots by one rule (_PivotRule): the largest-coefficient
+entering column, a ratio test whose ties go to the smallest basis label,
+and Bland's rule after a long degenerate streak, which guarantees
+termination without cycling.
 
-A start basis skips phase 1 and the tableau: ``solve(lp, keys=...)`` on a
-DirectSchemeProgram, whose S state rows are unit "=" rows over blocks of n
-variables, names one key per block. Phase 2 then keeps the state rows
-implicit (Dantzig and Van Slyke, "Generalized upper bounding techniques",
-JCSS 1967) and pivots on an n(n-1) x n(n-1) basis over the incentive rows,
-read from W, never from the dense A. A start with a negative basic
-solution, and a started solve that is not certified optimal, runs the cold
-solve, byte for byte as without a start.
+Rows that are sets stay implicit (Dantzig and Van Slyke, "Generalized upper
+bounding techniques", JCSS 1967), so the basis covers only the other rows.
+A program finds its sets itself (_layout); a DirectSchemeProgram's are its
+state rows, and its incentive rows are read from W, never from the dense A.
+``solve(lp, keys=...)`` starts a DirectSchemeProgram from one key per state.
 
-Both paths return through one certificate (_certify), computed from A x,
-A^T y, b and c, which a direct-scheme program forms from W: the point is
-feasible, the duals are dual feasible with the sign each relation asks
-for, and the duality gap closes. Tolerances: pivot 1e-10, feasibility
-1e-8, gap 1e-7 relative. An answer that cannot be certified comes back with
-status "numerical_failure", never as a wrong optimum or as an optimum
-without duals.
+Every answer is checked before it is returned, from A x, A^T y, b and c,
+which a direct-scheme program forms from W: an optimum's point and duals
+certify each other (_certify), and an infeasible verdict carries a Farkas
+vector (_refute). Tolerances: pivot 1e-10, feasibility 1e-8, gap 1e-7
+relative. An answer that fails its check comes back with status
+"numerical_failure", never as a wrong optimum or an unproven verdict.
 """
 
 from __future__ import annotations
@@ -66,14 +61,14 @@ class _Rows(Sequence):
         return self._lp.A[k], str(self._lp.relations[k]), float(self._lp.b[k])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearProgram:
     """maximize objective @ x subject to A x (relations) b and x >= 0.
 
     Constraints are ``A`` (k x n), ``relations`` (k of "<=", "=", ">=")
     and ``b`` (k), checked in one vectorized pass and kept as read-only
     views, not copies. Every variable is nonnegative; a bound of another
-    kind is written as a row.
+    kind is written as a row. Programs compare by identity.
     """
 
     objective: np.ndarray
@@ -99,6 +94,10 @@ class LinearProgram:
                     f"constraint {np.argmin(finite)}: {name} must be finite")
         _freeze(self, objective=c, A=A, relations=rel, b=b)
 
+    def __repr__(self) -> str:
+        counts = ", ".join(f"{int((self.relations == r).sum())} {r!r}" for r in ("<=", "=", ">="))
+        return f"{type(self).__name__}({self.b.size} rows x {self.objective.size} columns: {counts})"
+
     @property
     def constraints(self) -> Sequence:
         """The rows as (coeffs, relation, rhs) tuples over views of A (read-only)."""
@@ -107,6 +106,40 @@ class LinearProgram:
     def _products(self, x: np.ndarray, y: np.ndarray) -> tuple:
         """A @ x and A.T @ y."""
         return self.A @ x, self.A.T @ y
+
+    def _layout(self) -> tuple:
+        """The program as _gub takes it: (K, w, AC, b, slack, var, row_pos).
+
+        Lines are the columns of Z = [A | slacks], a slack being +1 in its
+        "<=" row and -1 in its ">=" row. A set row is a row of Z with rhs >= 0
+        and nonzeros all exactly 1.0, sharing no column with another such
+        row, of their most common width w. AC holds each line's entries in the
+        working (non-set) rows and its cost, the K sets' members first in
+        blocks of w; b has the set rows first; slack is each working row's
+        slack line (-1 on "=" rows), var each variable's line, row_pos each
+        row's internal position.
+        """
+        A, rel, b = self.A, self.relations, self.b
+        (m, n), ineq = A.shape, (rel != "=").nonzero()[0]
+        Z = np.zeros((m, n + ineq.size))
+        Z[:, :n] = A
+        Z[ineq, n + np.arange(ineq.size)] = np.where(rel[ineq] == "<=", 1.0, -1.0)
+        nz = Z != 0.0
+        cand = (((Z == 1.0) == nz).all(axis=1) & (b >= 0.0)).nonzero()[0]
+        nzc = nz[cand]
+        width = nzc.sum(axis=1)
+        ok = (width > 0) & ~(nzc & (nzc.sum(axis=0) > 1)).any(axis=1)
+        w = int(np.bincount(width[ok]).argmax()) if ok.any() else 1
+        sets, nzs = cand[ok & (width == w)], nzc[ok & (width == w)]
+        work = np.delete(np.arange(m), sets)
+        lines = np.concatenate([np.flatnonzero(nzs) % Z.shape[1], (~nzs.any(axis=0)).nonzero()[0]])
+        line_of = np.argsort(lines)
+        costs = np.append(self.objective, np.zeros(ineq.size))
+        AC = np.ascontiguousarray(np.vstack([Z[work], costs])[:, lines].T)
+        slack = np.full(m, -1)
+        slack[ineq] = line_of[n + np.arange(ineq.size)]
+        order = np.concatenate([sets, work])
+        return sets.size, w, AC, b[order], slack[work], line_of[:n], np.argsort(order)
 
 
 def _freeze(obj, **arrays) -> None:
@@ -118,9 +151,9 @@ def _freeze(obj, **arrays) -> None:
 
 class DirectSchemeProgram(LinearProgram):
     """The direct-scheme program: sum(x[t*n:(t+1)*n]) = 1 for each state t,
-    then W[:, :, p].ravel() @ x >= 0 for each incentive row p. Keys, the
-    started solve and the certificate read W; the dense A is built when first
-    read (cold solve, constraints[k]). direct_scheme_lp checks the inputs.
+    then W[:, :, p].ravel() @ x >= 0 for each incentive row p. Solves and
+    the certificate read W; the dense A is built when first read
+    (constraints[k]). direct_scheme_lp checks the inputs.
     """
 
     def __init__(self, objective: np.ndarray, W: np.ndarray):
@@ -143,6 +176,16 @@ class DirectSchemeProgram(LinearProgram):
         return (np.concatenate([x.reshape(S, n).sum(axis=1), W.T @ x]),
                 np.repeat(y[:S], n) + W @ y[S:])
 
+    def _layout(self) -> tuple:
+        """The S state rows are the sets, and line n + p is the surplus of
+        incentive row p."""
+        (S, w, P), n = self.W.shape, self.objective.size
+        AC = np.zeros((n + P, P + 1))
+        AC[:n, :P] = self.W.reshape(n, P)
+        AC[:n, P] = self.objective
+        AC[n + np.arange(P), np.arange(P)] = -1.0
+        return S, w, AC, self.b, n + np.arange(P), np.arange(n), np.arange(S + P)
+
 
 @dataclass(frozen=True)
 class LpOutcome:
@@ -150,14 +193,15 @@ class LpOutcome:
 
     status is one of "optimal", "infeasible", "unbounded",
     "numerical_failure". When optimal, ``point`` is a vertex and ``duals``
-    holds one multiplier per constraint; on either path the two certify
-    each other (see the module docstring), and an answer that does not is
-    "numerical_failure". ``certificate`` carries a best-effort Farkas vector
-    for infeasible programs. ``pivots`` counts the simplex pivots of phase 1
-    and phase 2; the pivots that drive leftover artificial variables out of
-    the basis between the phases are not counted. ``start`` is "crash" when
-    the phase 2 started from the keys given to :func:`solve` answered, so
-    ``pivots`` is (0, phase-2 pivots), and "cold" when the cold solve did.
+    holds one multiplier per constraint, and the two certify each other.
+    When infeasible, ``certificate`` holds a Farkas vector y, checked: y A
+    >= 0, y >= 0 on "<=" rows, y <= 0 on ">=" rows and y b < 0. An answer
+    that fails its check is "numerical_failure" (see the module docstring).
+    ``pivots`` counts the simplex pivots of phase 1 and phase 2; the pivots
+    that drive leftover artificial variables out of the basis between the
+    phases are not counted. ``start`` is "crash" when the solve from the
+    keys given to :func:`solve` answered, and "cold" when the cold solve
+    did.
     """
 
     status: str
@@ -173,11 +217,10 @@ def solve(lp: LinearProgram, keys=None) -> LpOutcome:
     """Solve a linear program, returning a vertex optimum when one exists.
 
     ``keys`` optionally names a start basis of a DirectSchemeProgram, one
-    basic variable in each state's block (see the module docstring); keys
-    on any other program, or not one per block, raise ValidationError. A
-    start whose basic solution is negative falls back to the cold two-phase
-    solve, and so does a started solve that does not end certified optimal.
-    An "optimal" outcome carries certified duals whichever path answered.
+    basic variable in each state's block; keys on any other program, or not
+    one per block, raise ValidationError. A start whose incentive surpluses
+    are all >= 0 needs no phase 1. A started solve that does not end
+    certified optimal is redone cold, from each block's first variable.
     """
     if keys is not None:
         keys = np.asarray(keys)
@@ -186,24 +229,16 @@ def solve(lp: LinearProgram, keys=None) -> LpOutcome:
                 and (keys // lp.W.shape[1] == np.arange(keys.size)).all()):
             raise ValidationError("keys must name one variable per block of a DirectSchemeProgram")
         out = _gub(lp, keys.astype(int))
-        if out is not None and out.status == "optimal":
+        if out.status == "optimal":
             return out
-    return _simplex(lp)
+    return _gub(lp)
 
-
-def _max_iter(lp: LinearProgram) -> int:
-    """Pivots after which either path ends as a numerical failure."""
-    return 2000 + 50 * (lp.objective.size + int((lp.relations != "=").sum()) + 2 * lp.b.size)
-
-
-# ---------------------------------------------------------------------------
-# tableau simplex
 
 _DEGENERATE_SWITCH = 40  # consecutive degenerate pivots before Bland's rule
 
 
 class _PivotRule:
-    """The pivot rule of both simplex paths, with its degenerate streak.
+    """The pivot rule of the simplex, with its degenerate streak.
 
     The entering column has the largest reduced cost, or after
     _DEGENERATE_SWITCH degenerate pivots in a row the first positive one
@@ -233,168 +268,28 @@ class _PivotRule:
         return int(ties[labels[ties].argmin()])
 
 
-class _Tableau:
-    """Dense tableau [B^-1 A | B^-1 b] over the structural and slack columns.
-
-    Rows with b < 0 enter negated, with "<=" and ">=" swapped, so the
-    starting rhs is nonnegative; sign holds -1.0 for those rows and b the
-    flipped rhs. Columns: structural, then one slack or surplus per
-    inequality row in row order. Rows that need an artificial variable
-    ("=" and ">=" rows after the flip) get a basis label first_art + k but
-    no column: phase 1 prices only columns below first_art, the drive-out
-    step reads only those, and duals and certificates come from the
-    labels, A and sign.
-    """
-
-    def __init__(self, lp: LinearProgram):
-        m, n = lp.A.shape
-        neg = lp.b < 0
-        self.sign = np.where(neg, -1.0, 1.0)
-        self.b = lp.b * self.sign
-        eq = lp.relations == "="
-        ge = np.where(neg, lp.relations == "<=", lp.relations == ">=")  # after the flip
-        slack_rows = (~eq).nonzero()[0]
-        self.art_rows = (eq | ge).nonzero()[0]  # row of label first_art + k
-        self.first_art = n + slack_rows.size
-        T = np.zeros((m, self.first_art + 1))
-        T[:, :n] = lp.A
-        T[neg.nonzero()[0], :n] *= -1.0
-        T[:, -1] = self.b
-        self.slack_col = np.full(m, -1)
-        self.slack_col[slack_rows] = n + np.arange(slack_rows.size)
-        slack_sign = np.where(ge[slack_rows], -1.0, 1.0)
-        T[slack_rows, self.slack_col[slack_rows]] = slack_sign
-        basis = self.slack_col.copy()
-        basis[self.art_rows] = self.first_art + np.arange(self.art_rows.size)
-        # each non-structural label n + k is a unit column: its row and sign
-        self.unit_row = np.concatenate([slack_rows, self.art_rows])
-        self.unit_sign = np.concatenate([slack_sign, np.ones(self.art_rows.size)])
-        self.T = T
-        self.basis = basis
-        self.n_struct = n
-        self.m = m
-        # Phase-2 reduced costs are carried along from the start so no
-        # re-pricing is needed between phases; the phase-1 row z1 is priced
-        # only when phase 1 runs.
-        z2 = np.zeros(self.first_art + 1)
-        z2[:n] = lp.objective
-        self.z2 = z2
-        self.z1 = None
-        self.priced = (z2,)
-        self.iterations = 0
-
-    def price_phase1(self) -> None:
-        """Phase-1 objective max -(sum of artificials), priced out over the
-        starting basis."""
-        z1 = np.zeros(self.T.shape[1])
-        for r in self.art_rows:
-            z1 += self.T[r]
-        self.z1 = z1
-        self.priced = (z1, self.z2)
-
-    def pivot(self, row: int, col: int) -> None:
-        T = self.T
-        piv = T[row, col]
-        T[row] /= piv
-        colvals = T[:, col].copy()
-        colvals[row] = 0.0
-        # A row with a zero in the pivot column would only have zeros
-        # subtracted, so the rank-1 update skips it.
-        hit = colvals.nonzero()[0]
-        T[hit] -= colvals[hit, None] * T[row]
-        T[:, col] = 0.0
-        T[row, col] = 1.0
-        for z in self.priced:
-            if z[col] != 0.0:
-                z -= z[col] * T[row]
-                z[col] = 0.0
-        self.basis[row] = col
-
-    def run(self, z: np.ndarray, allowed_upto: int, max_iter: int) -> str:
-        """Pivot until optimal/unbounded on objective row z (maximization)."""
-        rule = _PivotRule()
-        while True:
-            enter = rule.enter(z[:allowed_upto])
-            if enter is None:
-                return "optimal"
-            leave = rule.leave(self.T[:, enter], self.T[:, -1], self.basis)
-            if leave is None:
-                return "unbounded"
-            self.pivot(leave, enter)
-            self.iterations += 1
-            if self.iterations > max_iter:
-                return "iteration_limit"
-
-
-def _simplex(lp: LinearProgram) -> LpOutcome:
-    tab = _Tableau(lp)
-    m = tab.m
-    max_iter = _max_iter(lp)
-
-    if m > 0:
-        tab.price_phase1()
-        status = tab.run(tab.z1, tab.first_art, max_iter)
-        phase1_pivots = tab.iterations
-        if status == "iteration_limit":
-            return LpOutcome(status="numerical_failure", pivots=(phase1_pivots, 0))
-        phase1 = -tab.z1[-1]
-        infeasibility = -phase1  # sum of artificials left over
-        if infeasibility > FEAS_TOL:
-            return LpOutcome(status="infeasible", certificate=_farkas(lp, tab),
-                             pivots=(phase1_pivots, 0))
-        tab.priced = (tab.z2,)
-        # Drive remaining artificial variables out of the basis; a row whose
-        # artificial cannot leave is redundant and gets dropped.
-        keep = np.ones(m, dtype=bool)
-        for r in range(m):
-            if tab.basis[r] >= tab.first_art:
-                row = tab.T[r, : tab.first_art]
-                nz = np.nonzero(np.abs(row) > PIVOT_TOL)[0]
-                if nz.size:
-                    tab.pivot(r, int(nz[0]))
-                else:
-                    keep[r] = False
-        if not keep.all():
-            tab.T = tab.T[keep]
-            tab.basis = tab.basis[keep]
-            tab.m = int(keep.sum())
-        kept_rows = np.nonzero(keep)[0]
-    else:
-        phase1_pivots = 0
-        kept_rows = np.zeros(0, dtype=int)
-
-    status = tab.run(tab.z2, tab.first_art, max_iter)
-    pivots = (phase1_pivots, tab.iterations - phase1_pivots)
-    if status == "iteration_limit":
-        return LpOutcome(status="numerical_failure", pivots=pivots)
-    if status == "unbounded":
-        return LpOutcome(status="unbounded", pivots=pivots)
-
-    # no artificial label is basic after phase 1
-    u = np.zeros(tab.first_art)
-    u[tab.basis] = tab.T[:, -1]
-    costs = np.concatenate([lp.objective, np.zeros(tab.first_art - tab.n_struct)])
-    y = _basis_duals(lp, tab, kept_rows, costs[tab.basis])
-    return _certify(lp, u[: tab.n_struct] + 0.0, y, pivots)  # -0.0 comes back as 0.0
-
-
 # ---------------------------------------------------------------------------
-# phase 2 from a start basis, with generalized upper bounding
+# the revised simplex, with generalized upper bounding
 
 _REFACTOR_EVERY = 32  # product-form updates of W^-1 between refactorizations
 
 
-def _gub(lp: DirectSchemeProgram, key: np.ndarray) -> Optional[LpOutcome]:
-    """Revised-simplex phase 2 from a start basis; None if it is rejected:
-    its basic solution is negative, or its basis W is singular.
+def _gub(lp: LinearProgram, key: Optional[np.ndarray] = None) -> LpOutcome:
+    """Two-phase revised simplex over lp._layout(), from the given keys (one
+    line per set) or, cold, from each set's first member.
 
-    State row k is a set, the variables of its block. One basic per set,
-    its key, stays implicit at b_k less the set's other basics. On the
-    incentive (working) rows, column j of set k then acts as d_j = a_j -
-    a_key, with cost c_j - c_key, a_j holding lp.W's entries of variable j;
-    only W^-1 is kept, for the basis W of the non-key basics there. Pricing
-    is one mat-vec over the d_j and the entering column another; the ratio
-    test covers W's basics and the keys that move. W^-1 gets a product-form
+    Set k's key is its one basic variable kept implicit, at b_k less the
+    set's other basics. On the working rows, line j of set k then acts as
+    d_j = a_j - a_key, with cost c_j - c_key, a_j holding its entries in the
+    working rows; only W^-1 is kept, for the basis W of the non-key basics
+    there. W starts on each working row's slack, or on an artificial line
+    where that would be negative; phase 1 then maximizes minus their sum,
+    and a leftover above FEAS_TOL makes its duals the Farkas vector. Next
+    each artificial left in W is swapped, in a pivot not counted, for the
+    first nonbasic line with a nonzero in its row; one that cannot leave
+    marks a redundant row and stays at 0. Artificial lines are never priced. Pricing is one
+    mat-vec over the d_j and the entering column another; the ratio test
+    covers W's basics and the keys that move. W^-1 gets a product-form
     update per pivot, a Sherman-Morrison update when a key's set member
     takes over as key, and is refactorized every _REFACTOR_EVERY updates
     and when a key change moves more than one column of W.
@@ -410,15 +305,20 @@ def _gub(lp: DirectSchemeProgram, key: np.ndarray) -> Optional[LpOutcome]:
     more than PIVOT_TOL, at a step above PIVOT_TOL. No block is taken
     under Bland's rule, and each swap counts as a pivot.
     """
-    b, c = lp.b, lp.objective
-    (K, w, P), n = lp.W.shape, c.size
-    s = np.concatenate([np.arange(n) // w, np.full(P, -1)])  # the set of each variable
-    wb = n + np.arange(P)  # W's columns: the surplus of working row p has label n + p
-    # one line per variable: its coefficients in the working rows, then its cost
-    AC = np.zeros((n + P, P + 1))
-    AC[:n, :P] = lp.W.reshape(n, P)
-    AC[:n, P] = c
-    AC[wb, np.arange(P)] = -1.0
+    K, w, AC, b, slack, var, row_pos = lp._layout()
+    start = "cold" if key is None else "crash"
+    key = np.arange(K) * w if key is None else key
+    N, P = AC.shape[0], AC.shape[1] - 1  # lines N and on are artificial
+    resid = b[K:] - b[:K] @ AC[key, :P]  # what W's basics make up at the start
+    art = ((slack < 0) | (resid * AC[slack, np.arange(P)] < 0.0)).nonzero()[0]
+    if art.size:  # phase-1 costs; each artificial is signed to start >= 0
+        cost = np.append(AC[:, P], np.zeros(art.size))
+        AC = np.vstack([AC, np.zeros((art.size, P + 1))])
+        AC[N + np.arange(art.size), art] = np.where(resid[art] < 0.0, -1.0, 1.0)
+        AC[:, P] = np.repeat([0.0, -1.0], [N, art.size])
+    wb = slack.copy()  # W's columns
+    wb[art] = N + np.arange(art.size)
+    s = np.concatenate([np.arange(K * w) // w, np.full(AC.shape[0] - K * w, -1)])  # sets
     DC = AC.copy()  # the same, reduced against the keys
 
     def rekey(ks):  # reduce the lines of the sets ks against their keys; returns them
@@ -448,7 +348,7 @@ def _gub(lp: DirectSchemeProgram, key: np.ndarray) -> Optional[LpOutcome]:
         reduced costs r, and re-price their sets in r; returns their number."""
         cut = np.zeros(K + 1, dtype=bool)
         cut[0] = cut[sw] = True  # columns in no set, and sets holding a basic of W
-        other = cut[s + 1]
+        other = cut[s[:N] + 1]
         pos = ((r > r[other].max(initial=PIVOT_TOL)) & ~other).nonzero()[0]
         order = pos[np.argsort(-r[pos], kind="stable")]
         Q = order[np.sort(np.unique(s[order], return_index=True)[1])]
@@ -472,35 +372,21 @@ def _gub(lp: DirectSchemeProgram, key: np.ndarray) -> Optional[LpOutcome]:
             rule.streak = 0
         return t
 
-    if not factor() or val.min(initial=0.0) < -FEAS_TOL:
-        return None
-    max_iter = _max_iter(lp)
-    rule, it, since = _PivotRule(), 0, 0  # since: updates since factor()
-    free = False  # the last pivot was a free swap
-    status = "optimal"
-    while True:
-        np.matmul(neg_cw, Winv, out=neg_pi)
-        r = DC @ price
-        if free and not rule.bland:
-            it += swaps(r)
-        if it > max_iter:
-            status = "numerical_failure"
-            break
-        q = rule.enter(r)
-        if q is None:
-            break
+    def column(q) -> np.ndarray:
+        """Fill col with line q's entries on W's basics and the keys; return
+        those on W's basics."""
         alpha = Winv @ DC[q, :P]
         col[:P] = alpha
         np.negative(np.bincount(sw, alpha, minlength=K + 1)[1:], out=col[P:])
         if s[q] >= 0:
             col[P + s[q]] += 1.0
-        leave = rule.leave(col, val, lab)
-        if leave is None:
-            status = "unbounded"
-            break
+        return alpha
+
+    def exchange(q, leave, alpha) -> bool:
+        """Pivot line q in for basic leave; False if W turns singular."""
+        nonlocal since, free
         theta = val[leave] / col[leave]
-        val -= theta * col
-        it += 1
+        np.subtract(val, theta * col, out=val)
         stale = free = False  # stale: W changed in more than one column
         if leave >= P:  # a key leaves: q, or a basic of W in its set, is the new key
             k = leave - P
@@ -512,7 +398,7 @@ def _gub(lp: DirectSchemeProgram, key: np.ndarray) -> Optional[LpOutcome]:
                 if mine.size:  # their columns move by -d_q v^T: Sherman-Morrison
                     v = np.zeros(P)
                     v[mine] = 1.0
-                    Winv += np.outer(alpha, v @ Winv) / (1.0 - v @ alpha)
+                    np.add(Winv, np.outer(alpha, v @ Winv) / (1.0 - v @ alpha), out=Winv)
                     since += 1
             else:  # that basic's column of W goes to q
                 leave = mine[0]
@@ -525,26 +411,63 @@ def _gub(lp: DirectSchemeProgram, key: np.ndarray) -> Optional[LpOutcome]:
             if not stale:  # product-form update of W^-1
                 Winv[leave] /= alpha[leave]
                 alpha[leave] = 0.0
-                Winv -= alpha[:, None] * Winv[leave]
+                np.subtract(Winv, alpha[:, None] * Winv[leave], out=Winv)
                 since += 1
             wb[leave] = lab[leave] = q
             val[leave], neg_cw[leave], sw[leave] = theta, -DC[q, P], s[q] + 1
         if stale or since >= _REFACTOR_EVERY:
             since = 0
-            if not factor():
-                status = "numerical_failure"
+            return factor()
+        return True
+
+    def duals() -> np.ndarray:
+        """The duals of the current basis and costs, in lp's row order."""
+        pi = -neg_pi
+        return np.concatenate([AC[key, P] - AC[key, :P] @ pi, pi])[row_pos]
+
+    factor()  # W is diagonal, +-1
+    max_iter = 2000 + 50 * (N + 2 * b.size)  # then a solve ends as a numerical failure
+    rule, it, since, p1 = _PivotRule(), 0, 0, 0  # since: updates since factor()
+    free = False  # the last pivot was a free swap
+    phase1 = art.size > 0
+    while it <= max_iter:
+        np.matmul(neg_cw, Winv, out=neg_pi)
+        r = DC[:N] @ price
+        if free and not rule.bland:
+            it += swaps(r)
+        q = rule.enter(r)
+        if q is None and phase1:
+            phase1, p1 = False, it
+            arts = (wb >= N).nonzero()[0]  # W's positions of artificial lines
+            if val[arts].sum() > FEAS_TOL:
+                return _refute(lp, duals(), (p1, 0), start)
+            for p in arts:  # drive out; a failed swap is caught by _certify
+                g = np.abs(Winv[p] @ DC[:N, :P].T)
+                g[lab[lab < N]] = 0.0
+                j = int(g.argmax())
+                if g[j] > PIVOT_TOL:
+                    exchange(j, p, column(j))
+            AC[:, P] = cost
+            DC[...] = AC
+            rekey(np.arange(K))
+            neg_cw[:], rule, free = -DC[wb, P], _PivotRule(), False
+        elif q is None:
+            x = np.zeros(AC.shape[0])
+            x[lab] = val
+            return _certify(lp, x[var] + 0.0, duals(), (p1, it - p1), start)  # -0.0 comes back as 0.0
+        else:
+            alpha = column(q)
+            leave = rule.leave(col, val, lab)
+            if leave is None and not phase1:
+                return LpOutcome(status="unbounded", pivots=(p1, it - p1), start=start)
+            it += 1
+            if leave is None or not exchange(q, leave, alpha):
                 break
-    pivots = (0, it)
-    if status != "optimal":
-        return LpOutcome(status=status, pivots=pivots, start="crash")
-    x = np.zeros(n + P)
-    x[lab] = val
-    pi = -neg_pi
-    y = np.concatenate([AC[key, P] - AC[key, :P] @ pi, pi])
-    return _certify(lp, x[:n] + 0.0, y, pivots, "crash")  # -0.0 comes back as 0.0
+    return LpOutcome(status="numerical_failure", pivots=(it, 0) if phase1 else (p1, it - p1),
+                     start=start)
 
 
-def _certify(lp: LinearProgram, x: np.ndarray, y: Optional[np.ndarray],
+def _certify(lp: LinearProgram, x: np.ndarray, y: np.ndarray,
              pivots: tuple[int, int], start: str = "cold") -> LpOutcome:
     """An "optimal" outcome if point x and duals y certify each other, else
     a "numerical_failure".
@@ -557,48 +480,28 @@ def _certify(lp: LinearProgram, x: np.ndarray, y: Optional[np.ndarray],
     """
     b, c, rel = lp.b, lp.objective, lp.relations
     value = float(c @ x)
-    if y is not None:
-        (lhs, aty), tol = lp._products(x, y), FEAS_TOL * max(1.0, float(np.abs(c).max()))
-        le, ge = rel == "<=", rel == ">="
-        if not ((x < -FEAS_TOL).any() or (lhs[le] > b[le] + FEAS_TOL).any()
-                or (lhs[ge] < b[ge] - FEAS_TOL).any()
-                or (np.abs(lhs - b)[~(le | ge)] > FEAS_TOL).any()
-                or (c - aty > tol).any() or (y[le] < -tol).any()
-                or (y[ge] > tol).any()
-                or abs(value - y @ b) > 1e-7 * max(1.0, abs(value))):
-            return LpOutcome(status="optimal", value=value, point=x, duals=y,
-                             pivots=pivots, start=start)
+    (lhs, aty), tol = lp._products(x, y), FEAS_TOL * max(1.0, float(np.abs(c).max()))
+    le, ge = rel == "<=", rel == ">="
+    if not ((x < -FEAS_TOL).any() or (lhs[le] > b[le] + FEAS_TOL).any()
+            or (lhs[ge] < b[ge] - FEAS_TOL).any()
+            or (np.abs(lhs - b)[~(le | ge)] > FEAS_TOL).any()
+            or (c - aty > tol).any() or (y[le] < -tol).any()
+            or (y[ge] > tol).any()
+            or abs(value - y @ b) > 1e-7 * max(1.0, abs(value))):
+        return LpOutcome(status="optimal", value=value, point=x, duals=y,
+                         pivots=pivots, start=start)
     return LpOutcome(status="numerical_failure", pivots=pivots, start=start)
 
 
-def _basis_duals(lp: LinearProgram, tab: _Tableau, kept_rows: np.ndarray,
-                 costs: np.ndarray) -> Optional[np.ndarray]:
-    """Multipliers y with B^T y = c_B for the kept rows of the flipped
-    program, in the signs of the original rows; None if B is singular."""
-    basis, n = tab.basis, tab.n_struct
-    # B over the kept rows: structural columns from A, with the flipped rows
-    # negated; a slack, surplus or artificial column is +-1 in its own row,
-    # if that row is kept
-    cols = np.zeros((kept_rows.size, basis.size))
-    struct = (basis < n).nonzero()[0]
-    cols[:, struct] = lp.A[np.ix_(kept_rows, basis[struct])] * tab.sign[kept_rows, None]
-    pos = np.full(tab.sign.size, -1)
-    pos[kept_rows] = np.arange(kept_rows.size)
-    unit = (basis >= n).nonzero()[0]
-    label = basis[unit] - n
-    at = pos[tab.unit_row[label]]
-    kept = at >= 0
-    cols[at[kept], unit[kept]] = tab.unit_sign[label[kept]]
-    try:
-        y = np.linalg.solve(cols.T, costs)
-    except np.linalg.LinAlgError:
-        return None
-    full = np.zeros(tab.sign.size)
-    full[kept_rows] = y
-    return tab.sign * full
-
-
-def _farkas(lp: LinearProgram, tab: _Tableau) -> Optional[np.ndarray]:
-    """Best-effort infeasibility certificate from the phase-1 multipliers."""
-    costs = np.where(tab.basis >= tab.first_art, -1.0, 0.0)
-    return _basis_duals(lp, tab, np.arange(tab.m), costs)
+def _refute(lp: LinearProgram, y: np.ndarray, pivots: tuple[int, int],
+            start: str) -> LpOutcome:
+    """An "infeasible" outcome if y is a Farkas vector, else a
+    "numerical_failure": y A >= 0, y >= 0 on "<=" rows and y <= 0 on ">="
+    rows, each within FEAS_TOL as in _certify, and y b < 0.
+    """
+    rel = lp.relations
+    if not ((lp._products(np.zeros(lp.objective.size), y)[1] < -FEAS_TOL).any()
+            or (y[rel == "<="] < -FEAS_TOL).any() or (y[rel == ">="] > FEAS_TOL).any()
+            or y @ lp.b >= 0.0):
+        return LpOutcome(status="infeasible", certificate=y, pivots=pivots, start=start)
+    return LpOutcome(status="numerical_failure", pivots=pivots, start=start)

@@ -175,7 +175,6 @@ def _highs_s_signature_value(inst):
 
 
 def test_values_match_highs_with_every_border_row():
-    pytest.importorskip("scipy")
     for inst in _scan(2015, 300, (1, 60), (1, 9)):
         _, value = solve_s_signature(inst)
         assert value == pytest.approx(_highs_s_signature_value(inst), abs=1e-9)

@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from persuasion import fixtures, verify
+from persuasion import fixtures, khintchine, verify
 from persuasion import lp as lp_module
 from persuasion.errors import ValidationError
 from persuasion.exact import direct_scheme_lp, expand_product
-from persuasion.lp import LinearProgram, LpOutcome, _Tableau, solve
+from persuasion.lp import LinearProgram, LpOutcome, solve
 from persuasion.model import ExplicitInstance
 
 from lp_rows import row_lp
@@ -193,24 +193,7 @@ def test_pivot_counts_per_phase():
 
 
 # ---------------------------------------------------------------------------
-# the row-restricted pivot against the dense rank-1 update it replaced
-
-
-def _dense_pivot(self, row, col):
-    """Reference pivot: rank-1 update of every row, both objectives always."""
-    T = self.T
-    piv = T[row, col]
-    T[row] /= piv
-    colvals = T[:, col].copy()
-    colvals[row] = 0.0
-    T -= np.outer(colvals, T[row])
-    T[:, col] = 0.0
-    T[row, col] = 1.0
-    for z in (self.z1, self.z2):
-        if z[col] != 0.0:
-            z -= z[col] * T[row]
-            z[col] = 0.0
-    self.basis[row] = col
+# a corpus of cold programs
 
 
 def _transport_lps(rng, count):
@@ -235,7 +218,7 @@ def _transport_lps(rng, count):
 
 def _general_lps(rng, count):
     """Random programs over x >= 0 mixing relations, with negative right-hand
-    sides (rows the tableau flips); some are infeasible."""
+    sides (rows that start on artificial variables); some are infeasible."""
     lps = []
     for _ in range(count):
         n = int(rng.integers(2, 7))
@@ -286,18 +269,6 @@ def _as_bytes(out):
             raw(out.certificate), out.pivots)
 
 
-def test_row_restricted_pivot_is_bit_identical_to_dense_update(monkeypatch):
-    corpus = _pivot_corpus()
-    fast = [solve(lp) for lp in corpus]
-    monkeypatch.setattr(_Tableau, "pivot", _dense_pivot)
-    dense = [solve(lp) for lp in corpus]
-    statuses = {out.status for out in fast}
-    assert {"optimal", "infeasible"} <= statuses
-    assert sum(out.certificate is not None for out in fast) > 0
-    for k, (a, b) in enumerate(zip(fast, dense)):
-        assert _as_bytes(a) == _as_bytes(b), f"program {k} differs"
-
-
 def _highs(lp):
     from scipy.optimize import linprog
 
@@ -315,7 +286,6 @@ def _highs(lp):
 
 
 def test_optimal_values_match_highs():
-    pytest.importorskip("scipy")
     checked = 0
     for lp in _pivot_corpus():
         out = solve(lp)
@@ -442,20 +412,40 @@ def test_every_optimal_outcome_is_certified(monkeypatch):
     assert len(optimal) >= 100
     for lp, out in optimal:
         _assert_certified(lp, out)
-    # a cold solve whose duals are missing or wrong does not answer "optimal"
+    # a cold solve whose duals are wrong does not answer "optimal"
     lp = row_lp([1.0, 1.0], [([1.0, 2.0], "<=", 4.0), ([3.0, 1.0], "<=", 6.0)])
-    duals = lp_module._basis_duals
-    monkeypatch.setattr(lp_module, "_basis_duals", lambda *args: None)
-    assert solve(lp).status == "numerical_failure"
+    certify = lp_module._certify
     for shift in (-0.5, 0.5):  # breaks the dual sign, then the duality gap
 
-        def perturbed(*args, shift=shift):
-            y = duals(*args).copy()
-            y[0] += shift
-            return y
+        def perturbed(lp, x, y, *args, shift=shift):
+            return certify(lp, x, y + [shift, 0.0], *args)
 
-        monkeypatch.setattr(lp_module, "_basis_duals", perturbed)
+        monkeypatch.setattr(lp_module, "_certify", perturbed)
         assert solve(lp).status == "numerical_failure"
+
+
+def test_infeasible_outcome_carries_a_checked_farkas_vector(monkeypatch):
+    outcomes = [(lp, solve(lp)) for lp in _pivot_corpus()]
+    infeasible = [(lp, out) for lp, out in outcomes if out.status == "infeasible"]
+    assert len(infeasible) >= 10
+    for lp, out in infeasible:
+        _assert_farkas(lp, out.certificate)
+    # phase-1 duals that are no Farkas vector come back as "numerical_failure":
+    # y A >= 0 broken, y b < 0 broken, and both signs and y b broken
+    lp = row_lp([1.0, 2.0], [([1.0, 0.0], "<=", 1.0), ([1.0, 1.0], ">=", 3.0),
+                             ([0.0, 1.0], "<=", 1.0)])
+    out = solve(lp)
+    assert out.status == "infeasible" and out.certificate.tolist() == [1.0, -1.0, 1.0]
+    _assert_farkas(lp, out.certificate)
+    refute = lp_module._refute
+    for corrupt in (lambda y: y + [0.0, -0.5, 0.0], lambda y: y + [1.0, 0.0, 1.0], np.negative):
+
+        def corrupted(lp, y, *args, corrupt=corrupt):
+            return refute(lp, corrupt(y), *args)
+
+        monkeypatch.setattr(lp_module, "_refute", corrupted)
+        out = solve(lp)
+        assert out.status == "numerical_failure" and out.certificate is None
 
 
 def _dominated_instance():
@@ -467,10 +457,10 @@ def _dominated_instance():
                             rng.uniform(-1, 1, (20, 3)), receiver)
 
 
-def _rejected_starts():
-    """(program, keys) that solve does not start from: keys whose basic
-    solution is negative, on a dominated action and on the receiver's worst
-    action of each state."""
+def _negative_starts():
+    """(program, keys) whose basic solution is negative, so some incentive
+    rows start on artificial variables: a dominated action, and the
+    receiver's worst action of each state."""
     inst = fixtures.random_explicit(np.random.default_rng(7), 30, 3)
     worst = np.arange(30) * 3 + np.argmin(inst.receiver_payoffs, axis=1)
     all_dominated = np.arange(20) * 3 + 1
@@ -478,12 +468,12 @@ def _rejected_starts():
             (_direct_lp(_dominated_instance(), 0.0), all_dominated)]
 
 
-def test_rejected_start_is_the_cold_solve():
-    for lp, keys in _rejected_starts():
-        assert lp_module._gub(lp, keys.copy()) is None
-        out = solve(lp, keys=keys)
-        assert out.start == "cold" and out.pivots[0] > 0
-        assert _as_bytes(out) == _as_bytes(solve(lp))
+def test_negative_start_runs_phase_1_from_its_keys():
+    for lp, keys in _negative_starts():
+        out, cold = solve(lp, keys=keys), solve(lp)
+        assert out.start == "crash" and out.pivots[0] > 0
+        _assert_certified(lp, out)
+        assert out.value == pytest.approx(cold.value, abs=1e-9)
 
 
 def test_start_on_general_programs():
@@ -565,7 +555,6 @@ def test_structured_certificate_matches_dense_certificate():
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_started_solve_matches_highs_on_729_states(seed):
-    pytest.importorskip("scipy")
     inst = expand_product(fixtures.random_iid(np.random.default_rng(seed),
                                               actions=6, types=3))
     assert inst.state_count == 729
@@ -603,23 +592,54 @@ def test_free_swaps_run_in_blocks(monkeypatch):
 def test_crash_solve_that_fails_is_redone_cold(monkeypatch):
     inst = fixtures.random_explicit(np.random.default_rng(9), 30, 3)
     lp = _direct_lp(inst, 0.05)
+    monkeypatch.setattr(lp_module, "_REFACTOR_EVERY", 1)
     cold = solve(lp)
     factorizations = []
     inv = np.linalg.inv
 
     def failing(a):
-        # the first factorization installs the start; a later one is the
-        # GUB loop's refactorization, which now fails
+        # the first factorization installs the start; the second is the
+        # started loop's first refactorization, which fails
         factorizations.append(a.shape)
-        if len(factorizations) > 1:
+        if len(factorizations) == 2:
             raise np.linalg.LinAlgError("singular working basis")
         return inv(a)
 
     monkeypatch.setattr(np.linalg, "inv", failing)
-    monkeypatch.setattr(lp_module, "_REFACTOR_EVERY", 1)
     out = solve(lp, keys=_honest_keys(inst))
-    assert len(factorizations) == 2
+    assert len(factorizations) > 2
     assert out.start == "cold" and _as_bytes(out) == _as_bytes(cold)
+
+
+def test_cold_solve_keeps_unit_rows_implicit(monkeypatch):
+    # the Khintchine LP at n = 8 has 296 rows, 264 of them unit "=" rows over
+    # disjoint columns, so every factorization is of a 32 x 32 working basis;
+    # a direct-scheme program solves cold from W, without its dense A
+    shapes = []
+    inv = np.linalg.inv
+
+    def recorded(a):
+        shapes.append(a.shape)
+        return inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", recorded)
+    khintchine.solve_khintchine_lp(np.random.default_rng(8).uniform(-2.0, 2.0, 8))
+    assert shapes and set(shapes) == {(32, 32)}
+    monkeypatch.undo()
+    inst = fixtures.random_explicit(np.random.default_rng(9), 30, 3)
+    lp = _direct_lp(inst, 0.05)
+    out = solve(lp)
+    assert out.status == "optimal" and out.start == "cold"
+    assert "A" not in vars(lp)
+    _assert_certified(lp, out)
+
+
+def test_repr_and_equality_leave_the_dense_matrix_unbuilt():
+    inst = fixtures.random_explicit(np.random.default_rng(3), 3, 2)
+    lp, other = _direct_lp(inst, 0.0), _direct_lp(inst, 0.05)
+    assert repr(lp) == "DirectSchemeProgram(5 rows x 6 columns: 0 '<=', 3 '=', 2 '>=')"
+    assert lp == lp and lp != other and lp != _direct_lp(inst, 0.0)
+    assert "A" not in vars(lp) and "A" not in vars(other)
 
 
 @pytest.mark.parametrize("start", [[[0, 2]], [0, 2, 3], [0.0, 2.0], [-1, 2], [0, 1], [0, 4]])

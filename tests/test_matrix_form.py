@@ -18,7 +18,7 @@ from persuasion.errors import InstanceTooLargeError, ValidationError
 from persuasion.exact import type_profiles
 from persuasion.iid import border_feasible
 from persuasion.khintchine import TwoSignalSignature, sign_dot_products
-from persuasion.lp import LinearProgram, _Tableau, solve
+from persuasion.lp import LinearProgram, solve
 from persuasion.model import (DirectScheme, ExplicitInstance, IIDInstance,
                               IndependentInstance, Marginal, _unit_factors)
 
@@ -439,20 +439,23 @@ def test_matrix_is_not_copied_and_caller_keeps_write_access():
 
 
 def test_zero_shift_rhs_matches_per_row_products():
-    # -0.0 right-hand sides with negative coefficients: -0.0 is not below
-    # zero, so those rows keep their sign, and the tableau's initial rhs
-    # column equals the per-row products with a zero shift, rhs - row @ 0
+    # -0.0 right-hand sides with negative coefficients: no row is a set, the
+    # layout keeps A's rows and b byte for byte, each row's slack is +1 in it,
+    # and -0.0 is not below zero, so the outcome is that of +0.0
     rng = np.random.default_rng(29)
     A = -rng.random((6, 4))
     b = np.array([-0.0, 0.0, -0.0, 1.0, -2.0, 0.5])
-    lp = LinearProgram(rng.uniform(-1, 1, 4), A=A, relations=["<="] * 6, b=b)
-    tab = _Tableau(lp)
-    signs = np.where(b < 0, -1.0, 1.0)
-    expected = np.array([rhs - row @ np.zeros(4) for row, rhs in zip(A, b)]) * signs
-    assert tab.T[:, -1].tobytes() == expected.tobytes()
-    assert tab.T[:, -1].tobytes() == (b * signs).tobytes() == tab.b.tobytes()
-    assert tab.sign.tobytes() == signs.tobytes()
-    assert tab.T[:, :4].tobytes() == (A * signs[:, None]).tobytes()
+    c = rng.uniform(-1, 1, 4)
+    lp = LinearProgram(c, A=A, relations=["<="] * 6, b=b)
+    K, _, AC, rhs, slack, var, rows = lp._layout()
+    assert K == 0 and rhs.tobytes() == b.tobytes()
+    assert AC[var, :6].tobytes() == A.T.tobytes() and (AC[slack, np.arange(6)] == 1.0).all()
+    assert var.tolist() == [0, 1, 2, 3] and rows.tolist() == list(range(6))
+    got, want = solve(lp), solve(LinearProgram(c, A=A, relations=["<="] * 6, b=b + 0.0))
+    assert got.status == want.status
+    for field in ("value", "point", "duals", "certificate", "pivots"):
+        assert (np.asarray(getattr(got, field), dtype=float).tobytes()
+                == np.asarray(getattr(want, field), dtype=float).tobytes())
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +464,8 @@ def test_zero_shift_rhs_matches_per_row_products():
 
 def test_started_solve_matches_cold_solve_on_named_row_layouts():
     # the started solve reads the program's incentive block W; the cold
-    # solve of the program and of its dense copy read A, byte for byte alike
+    # solve of the program, from W, and of its dense copy, from A, find the
+    # same sets and agree byte for byte
     for eps in (0.0, 0.05):
         for k, inst in enumerate(_explicit_cases()):
             S, n = inst.state_count, inst.action_count
